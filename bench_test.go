@@ -353,41 +353,6 @@ func BenchmarkValidateCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitCached measures the full CVM submission round trip with the
-// validation cache on (unchanged resubmissions replay their conformance
-// check) versus off (every submission re-walks the model).
-func BenchmarkSubmitCached(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "cache-on"
-		opts := []cml.Option{}
-		if !cached {
-			name = "cache-off"
-			opts = append(opts, cml.WithRuntime(mdruntime.WithValidationCache(nil)))
-		}
-		b.Run(name, func(b *testing.B) {
-			vm, err := cml.New(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := vm.Platform.UI.NewDraft()
-			base.MustAdd("alice", "Person").SetAttr("name", "Alice")
-			base.MustAdd("s1", "Session").SetRef("participants", "alice").SetRef("streams", "a1")
-			base.MustAdd("a1", "Stream").SetAttr("media", "audio").SetAttr("session", "s1")
-			if _, err := base.Submit(); err != nil {
-				b.Fatal(err)
-			}
-			m := vm.Platform.UI.RuntimeModel()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := vm.Platform.SubmitModel(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // pumpBenchPlatform builds a broker-only platform whose event action routes
 // every "tick" event to ad, with the pump sharded n ways by the "src"
 // attribute.

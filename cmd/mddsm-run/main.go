@@ -48,7 +48,7 @@ func run(args []string) error {
 	modelPath := fs.String("model", "", "application model JSON")
 	snapshotPath := fs.String("snapshot", "", "checkpoint the platform state to this file after the run")
 	restorePath := fs.String("restore", "", "rebuild the platform from this checkpoint instead of building it fresh")
-	common := cliutil.Register(fs).RegisterPump(fs).RegisterValidateCache(fs)
+	common := cliutil.Register(fs).RegisterPump(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -45,8 +45,8 @@ func TestRunValidateFlags(t *testing.T) {
 	defer metamodel.SetValidationMode(metamodel.ModeCompiled)
 	for _, c := range [][]string{
 		{"-domain", "cvm", "-model", data(t, "session.json"), "-validate-mode", "interpreted"},
-		{"-domain", "cvm", "-model", data(t, "session.json"), "-validate-cache", "0"},
-		{"-domain", "mgridvm", "-model", data(t, "home.json"), "-validate-cache", "8", "-obs"},
+		{"-domain", "cvm", "-model", data(t, "session.json"), "-validate-mode", "delta"},
+		{"-domain", "mgridvm", "-model", data(t, "home.json"), "-validate-mode", "compiled", "-obs"},
 	} {
 		if err := run(c); err != nil {
 			t.Errorf("%v: %v", c, err)
@@ -55,6 +55,10 @@ func TestRunValidateFlags(t *testing.T) {
 	if err := run([]string{"-domain", "cvm", "-model", data(t, "session.json"),
 		"-validate-mode", "wat"}); err == nil {
 		t.Error("bad -validate-mode must fail")
+	}
+	if err := run([]string{"-domain", "cvm", "-model", data(t, "session.json"),
+		"-validate-cache", "0"}); err == nil {
+		t.Error("-validate-cache was removed and must be refused")
 	}
 }
 

@@ -113,7 +113,7 @@ func New(cfg Config) (*Server, error) {
 		hRequest:        met.Histogram(obs.HAPIRequest),
 	}
 	s.hub = newHub(met)
-	cfg.Serve.SetModelObserver(s.hub.publish)
+	cfg.Serve.SetModelObserver(s.hub)
 	s.routes()
 	return s, nil
 }

@@ -43,12 +43,18 @@ func (s *Server) model(w http.ResponseWriter, r *http.Request, tenant string) (*
 		serveProblem(w, err)
 		return nil, nil, false
 	}
+	return m, mm, servesModel(w, r, tenant, mm)
+}
+
+// servesModel reports whether the path's {model} is the one the tenant
+// serves, answering 404 when it is not.
+func servesModel(w http.ResponseWriter, r *http.Request, tenant string, mm *metamodel.Metamodel) bool {
 	if name := r.PathValue("model"); name != mm.Name {
 		writeProblem(w, http.StatusNotFound, "unknown model",
 			fmt.Sprintf("tenant %q serves model %q, not %q", tenant, mm.Name, name), []string{mm.Name})
-		return nil, nil, false
+		return false
 	}
-	return m, mm, true
+	return true
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, tenant string) {
@@ -152,28 +158,37 @@ func (s *Server) handleClassObjects(w http.ResponseWriter, r *http.Request, tena
 }
 
 func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request, tenant string) {
-	m, _, ok := s.model(w, r, tenant)
-	if !ok {
+	s.writeObject(w, r, tenant, r.PathValue("id"), http.StatusOK)
+}
+
+// writeObject answers with one object of the tenant's committed model,
+// read as a copy of that object alone (not of the model), or with 404
+// when the model has no such object.
+func (s *Server) writeObject(w http.ResponseWriter, r *http.Request, tenant, id string, status int) {
+	o, mm, err := s.serve.Object(tenant, id)
+	if err != nil {
+		serveProblem(w, err)
 		return
 	}
-	id := r.PathValue("id")
-	o := m.Get(id)
+	if !servesModel(w, r, tenant, mm) {
+		return
+	}
 	if o == nil {
 		writeProblem(w, http.StatusNotFound, "no such object",
 			fmt.Sprintf("model has no object %q", id), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, marshalObject(o))
+	writeJSON(w, status, marshalObject(o))
 }
 
 // mutate runs one REST write: read the committed model, let fn edit the
 // copy, submit the candidate through the models@runtime loop (validate →
-// diff → interpret → commit), then answer from the committed state. A
-// validation refusal surfaces as 422 with the validator's problem list;
-// fn returning false means it already wrote a problem response.
+// diff → interpret → commit), then answer through respond. A validation
+// refusal surfaces as 422 with the validator's problem list; fn returning
+// false means it already wrote a problem response.
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, tenant string,
 	fn func(next *metamodel.Model, mm *metamodel.Metamodel) bool,
-	respond func(committed *metamodel.Model)) {
+	respond func()) {
 	lk := s.writeLock(tenant)
 	lk.Lock()
 	defer lk.Unlock()
@@ -190,12 +205,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, tenant string,
 		return
 	}
 	s.mWrites.Inc()
-	committed, _, err := s.serve.Model(tenant)
-	if err != nil {
-		serveProblem(w, err)
-		return
-	}
-	respond(committed)
+	respond()
 }
 
 // applyPut edits next per PUT semantics: the object ends up with exactly
@@ -305,12 +315,12 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request, tenant 
 			return false
 		}
 		return true
-	}, func(committed *metamodel.Model) {
+	}, func() {
 		status := http.StatusOK
 		if created {
 			status = http.StatusCreated
 		}
-		writeJSON(w, status, marshalObject(committed.Get(id)))
+		s.writeObject(w, r, tenant, id, status) // as committed: normalised, defaults applied
 	})
 }
 
@@ -331,8 +341,8 @@ func (s *Server) handlePatchObject(w http.ResponseWriter, r *http.Request, tenan
 			return false
 		}
 		return true
-	}, func(committed *metamodel.Model) {
-		writeJSON(w, http.StatusOK, marshalObject(committed.Get(id)))
+	}, func() {
+		s.writeObject(w, r, tenant, id, http.StatusOK)
 	})
 }
 
@@ -344,7 +354,7 @@ func (s *Server) handleDeleteObject(w http.ResponseWriter, r *http.Request, tena
 			return false
 		}
 		return true
-	}, func(*metamodel.Model) {
+	}, func() {
 		w.WriteHeader(http.StatusNoContent)
 	})
 }

@@ -27,17 +27,19 @@ type watcher struct {
 	ch chan sseMsg
 }
 
-// stream is one tenant's delta feed: the last committed model (the diff
-// base and the snapshot new subscribers are primed with) plus the live
-// subscribers. The stream outlives evict/rehydrate churn — parking a
-// tenant pauses publishes, it does not tear down watchers.
+// stream is one tenant's delta feed: the last committed model (the
+// snapshot new subscribers are primed with, and the base of a re-attach
+// diff) plus the live subscribers. The stream outlives evict/rehydrate
+// churn — parking a tenant pauses publishes, it does not tear down
+// watchers.
 type stream struct {
 	seq  uint64
 	last *metamodel.Model
 	subs map[*watcher]struct{}
 }
 
-// hub fans committed models out to SSE watchers as JSON change lists.
+// hub fans committed change lists out to SSE watchers as JSON. It is the
+// serve.ModelObserver of the API's tenant host.
 type hub struct {
 	mu      sync.Mutex
 	closed  bool
@@ -87,28 +89,49 @@ func changeDocs(cl metamodel.ChangeList) []changeDoc {
 	return docs
 }
 
-// publish is the serve.Server model observer: diff the committed model
-// against the last one seen for the tenant and broadcast the delta. The
-// model is a caller-owned clone; the hub keeps it as the next diff base.
-// A tenant's first publish diffs against the empty model, which is
-// exactly the state a fresh platform starts from.
-func (h *hub) publish(tenant string, m *metamodel.Model) {
+// Commit broadcasts the change list a tenant's Synthesis layer committed,
+// as computed there: the hub does not diff commits itself.
+func (h *hub) Commit(tenant string, m *metamodel.Model, changes metamodel.ChangeList) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	h.advanceLocked(h.stream(tenant), m, changes)
+}
+
+// Attach re-bases a tenant's stream on the model of the platform now
+// serving it. The platform's commits continue from m, so watchers are sent
+// the difference between the last model they saw and m first — empty
+// unless the tenant's state moved while it was away (re-created after a
+// delete, or adopted back after changing on another node). A stream seen
+// for the first time has no watchers to converge yet and just takes m.
+func (h *hub) Attach(tenant string, m *metamodel.Model) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
 	st := h.stream(tenant)
-	base := st.last
-	if base == nil {
-		base = metamodel.NewModel(m.MetamodelName)
+	if st.last == nil {
+		st.last = m
+		return
 	}
-	changes := metamodel.Diff(base, m)
+	h.advanceLocked(st, m, metamodel.Diff(st.last, m))
+}
+
+// advanceLocked moves a stream to model m, broadcasting changes (the
+// difference from the stream's last model) as one delta frame when it is
+// non-empty. h.mu must be held.
+func (h *hub) advanceLocked(st *stream, m *metamodel.Model, changes metamodel.ChangeList) {
 	st.last = m
 	if changes.Empty() {
 		return
 	}
 	st.seq++
+	if len(st.subs) == 0 {
+		return
+	}
 	data, err := json.Marshal(map[string]any{"seq": st.seq, "changes": changeDocs(changes)})
 	if err != nil {
 		return
@@ -130,8 +153,8 @@ func (h *hub) publish(tenant string, m *metamodel.Model) {
 
 // subscribe registers a watcher and returns the snapshot frame priming
 // it: the full current model plus the sequence number deltas continue
-// from. cur seeds the diff base when the hub has not yet seen a commit
-// for the tenant.
+// from. cur seeds the stream's model when the hub has not yet seen the
+// tenant.
 func (h *hub) subscribe(tenant string, cur *metamodel.Model) (*watcher, sseMsg, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -139,14 +162,10 @@ func (h *hub) subscribe(tenant string, cur *metamodel.Model) (*watcher, sseMsg, 
 		return nil, sseMsg{}, fmt.Errorf("api: server closed")
 	}
 	st := h.stream(tenant)
-	if st.last == nil && cur != nil {
+	if st.last == nil {
 		st.last = cur
 	}
-	model := st.last
-	if model == nil {
-		model = metamodel.NewModel("")
-	}
-	raw, err := metamodel.MarshalModel(model)
+	raw, err := metamodel.MarshalModel(st.last)
 	if err != nil {
 		return nil, sseMsg{}, err
 	}

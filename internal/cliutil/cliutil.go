@@ -1,11 +1,11 @@
 // Package cliutil is the shared flag surface of the mddsm commands.
 // mddsm-run and mddsm-bench used to re-declare the same flags (-obs,
-// -faults, -validate-mode, -pump-shards, -validate-cache) with drifting
+// -faults, -validate-mode, -pump-shards) with drifting
 // help strings and copy-pasted resolution logic; mddsm-serve would have
 // been the third copy. The flags register here once, and Resolve turns
 // them into the runtime objects every command needs: the observability
 // bundle, the fault injector (metrics bound), and a runtime.Config with
-// the validation cache and pump sharding folded in.
+// the validation mode and pump sharding folded in.
 package cliutil
 
 import (
@@ -30,12 +30,8 @@ type Common struct {
 	// PumpShards is the event-pump shard count (-pump-shards, 0 =
 	// GOMAXPROCS).
 	PumpShards int
-	// ValidateCache is the validation cache capacity (-validate-cache);
-	// see RegisterValidateCache for the default/0 semantics.
-	ValidateCache int
 
-	pumpRegistered  bool
-	cacheRegistered bool
+	pumpRegistered bool
 }
 
 // Register installs the flags every command shares: -obs, -faults and
@@ -52,14 +48,6 @@ func Register(fs *flag.FlagSet) *Common {
 func (c *Common) RegisterPump(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.PumpShards, "pump-shards", 0, "event-pump shards (0 = GOMAXPROCS); same-source events stay ordered per shard key")
 	c.pumpRegistered = true
-	return c
-}
-
-// RegisterValidateCache additionally installs -validate-cache.
-func (c *Common) RegisterValidateCache(fs *flag.FlagSet) *Common {
-	fs.IntVar(&c.ValidateCache, "validate-cache", metamodel.DefaultValidationCacheSize,
-		"validation cache capacity in models; 0 disables memoised conformance checks")
-	c.cacheRegistered = true
 	return c
 }
 
@@ -89,9 +77,8 @@ func (c *Common) ApplyValidationMode() error {
 //     compile metrics bound;
 //   - the fault injector (nil without -faults), its metrics bound to the
 //     obs bundle when both are armed;
-//   - a runtime.Config carrying -pump-shards and the -validate-cache
-//     resolution (shared cache by default, private at a custom capacity,
-//     disabled at 0), cache metrics bound likewise.
+//   - a runtime.Config carrying -pump-shards and delta validation when
+//     -validate-mode is delta.
 //
 // Resolve also applies -validate-mode; call it once after flag parsing.
 func (c *Common) Resolve() (*obs.Obs, *fault.Injector, runtime.Config, error) {
@@ -110,19 +97,6 @@ func (c *Common) Resolve() (*obs.Obs, *fault.Injector, runtime.Config, error) {
 	}
 	if c.pumpRegistered {
 		rcfg.PumpShards = c.PumpShards
-	}
-	if c.cacheRegistered {
-		switch {
-		case c.ValidateCache == 0:
-			rcfg.DisableValidationCache = true
-		case c.ValidateCache != metamodel.DefaultValidationCacheSize:
-			rcfg.ValidationCache = metamodel.NewValidationCache(c.ValidateCache)
-		default:
-			rcfg.ValidationCache = metamodel.SharedValidationCache()
-		}
-	}
-	if o != nil && rcfg.ValidationCache != nil {
-		rcfg.ValidationCache.BindMetrics(o.MetricsOf())
 	}
 
 	var inj *fault.Injector

@@ -42,9 +42,9 @@ func TestRegisterDefaults(t *testing.T) {
 	if o != nil || inj != nil {
 		t.Errorf("Resolve without -obs/-faults: obs=%v inj=%v, want nil/nil", o, inj)
 	}
-	// Without RegisterPump/RegisterValidateCache, Resolve must leave the
-	// runtime config untouched — not disable or install a cache.
-	if rcfg.PumpShards != 0 || rcfg.ValidationCache != nil || rcfg.DisableValidationCache {
+	// Without RegisterPump, Resolve must leave the runtime config
+	// untouched.
+	if rcfg.PumpShards != 0 || rcfg.DeltaValidation {
 		t.Errorf("unregistered optional flags leaked into config: %+v", rcfg)
 	}
 }
@@ -122,50 +122,6 @@ func TestValidateModeResolution(t *testing.T) {
 	}
 }
 
-func TestValidateCacheTiers(t *testing.T) {
-	// Tier 1: 0 disables memoised validation outright.
-	fs := newFS(t)
-	c := cliutil.Register(fs).RegisterValidateCache(fs)
-	if err := fs.Parse([]string{"-validate-cache", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rcfg, err := c.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rcfg.DisableValidationCache || rcfg.ValidationCache != nil {
-		t.Errorf("cache 0: %+v", rcfg)
-	}
-
-	// Tier 2: a custom capacity builds a private cache.
-	fs = newFS(t)
-	c = cliutil.Register(fs).RegisterValidateCache(fs)
-	if err := fs.Parse([]string{"-validate-cache", "7"}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rcfg, err = c.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcfg.ValidationCache == nil || rcfg.ValidationCache == metamodel.SharedValidationCache() {
-		t.Errorf("custom capacity must build a private cache, got %v", rcfg.ValidationCache)
-	}
-
-	// Tier 3: the default capacity resolves to the process-shared cache.
-	fs = newFS(t)
-	c = cliutil.Register(fs).RegisterValidateCache(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rcfg, err = c.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcfg.ValidationCache != metamodel.SharedValidationCache() {
-		t.Errorf("default capacity must resolve to the shared cache")
-	}
-}
-
 func TestRegisterPumpShards(t *testing.T) {
 	fs := newFS(t)
 	c := cliutil.Register(fs).RegisterPump(fs)
@@ -187,9 +143,9 @@ func TestConflictingFlagCombination(t *testing.T) {
 	// when the rest of the flag set is valid.
 	resetMode(t)
 	fs := newFS(t)
-	c := cliutil.Register(fs).RegisterPump(fs).RegisterValidateCache(fs)
+	c := cliutil.Register(fs).RegisterPump(fs)
 	args := []string{"-obs", "-faults", "seed=1,pump.post:drop:p=0.5",
-		"-pump-shards", "2", "-validate-cache", "3", "-validate-mode", "nope"}
+		"-pump-shards", "2", "-validate-mode", "nope"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}

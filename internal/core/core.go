@@ -86,10 +86,9 @@ func (d *Definition) Validate() error {
 	if d.Middleware == nil {
 		return fmt.Errorf("definition %s: nil middleware model", d.Name)
 	}
-	// Validating through the shared cache means the runtime factory's own
-	// conformance check of the same content (Build → runtime.Build) is a
-	// cache hit instead of a second full walk.
-	if _, err := metamodel.SharedValidationCache().Validate(mwmeta.MM(), d.Middleware); err != nil {
+	// Validation normalises in place; check a copy so the definition's
+	// model is left as authored.
+	if err := d.Middleware.Clone().Validate(mwmeta.MM()); err != nil {
 		return fmt.Errorf("definition %s: middleware model: %w", d.Name, err)
 	}
 	if d.DSML != nil {

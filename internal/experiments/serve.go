@@ -10,7 +10,6 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	_ "github.com/mddsm/mddsm/internal/domains/all"
-	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/serve"
 )
 
@@ -46,7 +45,6 @@ type ServeReport struct {
 	SLONs              int64              `json:"slo_ns"`
 	EventsPerTenant    int                `json:"events_per_tenant"`
 	Scales             []ServeScaleResult `json:"scales"`
-	SharedCacheHits    int64              `json:"shared_cache_hits"`
 	RehydrateRoundtrip int64              `json:"rehydrate_roundtrip_ns"`
 }
 
@@ -60,12 +58,11 @@ func percentile(sorted []time.Duration, p float64) int64 {
 }
 
 // MeasureServe runs the capacity ladder: at each scale it provisions that
-// many tenants (alternating cml and mgrid bundles, all sharing one
-// validation cache), posts serveEventsPerTenant events per tenant through
-// the admission path, and records the post-latency distribution and the
-// sustained throughput including the final drain. The largest scale also
-// measures one evict/rehydrate roundtrip and reports the cross-tenant
-// validation-cache hits.
+// many tenants (alternating cml and mgrid bundles), posts
+// serveEventsPerTenant events per tenant through the admission path, and
+// records the post-latency distribution and the sustained throughput
+// including the final drain. The largest scale also measures one
+// evict/rehydrate roundtrip.
 func MeasureServe() (*ServeReport, error) {
 	rep := &ServeReport{SLONs: ServeSLO.Nanoseconds(), EventsPerTenant: serveEventsPerTenant}
 	for _, n := range serveScales {
@@ -108,7 +105,7 @@ func MeasureServe() (*ServeReport, error) {
 		})
 	}
 
-	// Shared-cache economics and eviction latency at the largest scale.
+	// Eviction latency at the largest scale.
 	s := serve.NewServer(serve.Config{MaxResident: serveScales[len(serveScales)-1]})
 	defer s.Close()
 	for i := 0; i < serveScales[len(serveScales)-1]; i++ {
@@ -116,7 +113,6 @@ func MeasureServe() (*ServeReport, error) {
 			return nil, err
 		}
 	}
-	rep.SharedCacheHits = s.Obs().MetricsOf().CounterValue(obs.MValidateCacheHits)
 	t0 := time.Now()
 	if err := s.Evict("t000"); err != nil {
 		return nil, err
@@ -151,8 +147,6 @@ func ReportServe(w io.Writer, jsonPath string) error {
 			slo)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("shared validation cache: %d cross-tenant hits provisioning %d cml tenants",
-			rep.SharedCacheHits, serveScales[len(serveScales)-1]),
 		fmt.Sprintf("evict → touch → rehydrate roundtrip: %s", time.Duration(rep.RehydrateRoundtrip)),
 		"throughput includes the graceful drain; admission latency is the client-visible PostEvent path")
 	t.Print(w)

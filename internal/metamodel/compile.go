@@ -38,11 +38,6 @@ type compiledClass struct {
 	refs      []compiledRef
 	refIndex  map[string]int32 // interned reference-name handle → slot
 	ancestors map[string]struct{}
-
-	// Column counts per storage kind for the slot-model representation
-	// (see slots.go): every attribute slot is assigned a column in the
-	// typed array matching its kind, enums sharing the string columns.
-	nStr, nInt, nFloat, nBool int
 }
 
 // compiledAttr is one attribute slot: the kind check resolved to a direct
@@ -56,10 +51,6 @@ type compiledAttr struct {
 	required bool
 	def      any // pre-normalised default; nil when absent
 	norm     func(v any) (any, error)
-	// col is the attribute's column index in its kind's typed column
-	// array of the slot-model representation (strings for KindString and
-	// KindEnum, int64s for KindInt, and so on).
-	col int32
 }
 
 // compiledRef is one reference slot.
@@ -151,24 +142,14 @@ func Compile(mm *Metamodel) (*CompiledMetamodel, error) {
 			switch a.Kind {
 			case KindString:
 				ca.norm = normString
-				ca.col = int32(cc.nStr)
-				cc.nStr++
 			case KindInt:
 				ca.norm = normInt
-				ca.col = int32(cc.nInt)
-				cc.nInt++
 			case KindFloat:
 				ca.norm = normFloat
-				ca.col = int32(cc.nFloat)
-				cc.nFloat++
 			case KindBool:
 				ca.norm = normBool
-				ca.col = int32(cc.nBool)
-				cc.nBool++
 			case KindEnum:
 				ca.norm = normString
-				ca.col = int32(cc.nStr)
-				cc.nStr++
 				ca.enumName = a.EnumType
 				e := mm.enums[a.EnumType]
 				ca.enum = make(map[string]struct{}, len(e.Literals))

@@ -1,11 +1,11 @@
-// Incremental (delta) conformance validation: instead of re-walking — and,
-// with the validation cache, re-hashing — the whole runtime model on every
-// submission, a DeltaValidator keeps the previously validated model as its
-// base, together with two O(model) indexes built once (an inbound
-// reverse-reference index and the containment claim map), and checks a new
-// model by validating only the objects a ChangeList touches. The untouched
-// remainder was valid in the base and its validity can only be affected
-// through the indexed structures:
+// Incremental (delta) conformance validation: instead of re-walking the
+// whole runtime model on every submission, a DeltaValidator keeps the
+// previously validated model as its base, together with two O(model)
+// indexes built once (an inbound reverse-reference index and the
+// containment claim map), and checks a new model by validating only the
+// objects a ChangeList touches. The untouched remainder was valid in the
+// base and its validity can only be affected through the indexed
+// structures:
 //
 //   - an untouched object's own attributes and references are unchanged, so
 //     every per-object check still holds;

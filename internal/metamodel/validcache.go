@@ -1,8 +1,11 @@
 // The validation cache: content-hash-keyed memoisation of successful
-// conformance validations. Submitting, restoring or checkpoint-replaying
-// the same model content against the same metamodel repeatedly (the
-// models@runtime steady state) validates once and replays the validated
-// result from cache afterwards.
+// conformance validations. No production path uses it: on the models the
+// servers commit, hashing the canonical encoding plus the defensive clones
+// cost more than a compiled validation of a fresh clone, hits are rare
+// because committed models change on every write, and the retained
+// validated models dominated the live heap. It stays as a measured
+// alternative that the validation experiment and the system benchmark
+// time against compiled validation.
 //
 // Correctness properties:
 //   - Entries are keyed by a hash of the canonical encodings of BOTH the
@@ -26,7 +29,8 @@ import (
 	"github.com/mddsm/mddsm/internal/obs"
 )
 
-// DefaultValidationCacheSize bounds the process-wide shared cache.
+// DefaultValidationCacheSize is the capacity NewValidationCache uses when
+// given none.
 const DefaultValidationCacheSize = 256
 
 // ValidationCache memoises successful model validations by content hash
@@ -62,14 +66,6 @@ func NewValidationCache(max int) *ValidationCache {
 		index: make(map[uint64][]*list.Element),
 	}
 }
-
-// sharedCache is the process-wide default used by the runtime, core and
-// mwmeta layers, so validations of the same content in different layers
-// dedupe against each other.
-var sharedCache = NewValidationCache(DefaultValidationCacheSize)
-
-// SharedValidationCache returns the process-wide validation cache.
-func SharedValidationCache() *ValidationCache { return sharedCache }
 
 // BindMetrics mirrors the cache's hit/miss/eviction counts into reg under
 // the canonical obs names.

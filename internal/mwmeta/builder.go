@@ -36,11 +36,11 @@ func (b *Builder) id(prefix string) string {
 // Model returns the underlying middleware model.
 func (b *Builder) Model() *metamodel.Model { return b.model }
 
-// Validate checks the authored model against the middleware metamodel. The
-// check goes through the process-wide validation cache, so the runtime
-// factory's conformance check of the same authored content is a cache hit.
+// Validate checks the authored model against the middleware metamodel. It
+// validates a copy, so the authored model is left as built (validation
+// normalises values and applies defaults).
 func (b *Builder) Validate() error {
-	if _, err := metamodel.SharedValidationCache().Validate(MM(), b.model); err != nil {
+	if err := b.model.Clone().Validate(MM()); err != nil {
 		return fmt.Errorf("middleware model: %w", err)
 	}
 	return nil

@@ -372,7 +372,16 @@ func (s *Server) acceptLoop() {
 				continue
 			}
 		}
+		// A connection accepted while Close runs may miss Close's sweep
+		// of s.conns; it is dropped here instead of served forever.
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = true
 		s.mu.Unlock()
 		s.wg.Add(1)

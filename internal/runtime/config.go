@@ -1,7 +1,7 @@
 // Config is the unified tuning surface of a platform. Five PRs accreted
 // one functional option per knob (WithPumpQueue, WithPumpShards,
 // WithShardKey, WithDrainTimeout, WithDLQCapacity, WithSupervisor,
-// WithValidationCache, WithExternalEvents); a caller that wants to carry a
+// WithExternalEvents); a caller that wants to carry a
 // tuning profile around — a CLI flag set, a per-tenant quota in
 // mddsm-serve — had to haul a []Option. Config collapses the surface into
 // one documented struct with Defaults() and Validate(); the functional
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/mddsm/mddsm/internal/broker"
-	"github.com/mddsm/mddsm/internal/metamodel"
 )
 
 // DLQDisabled is the DLQCapacity sentinel that turns dead-lettering off:
@@ -60,21 +59,10 @@ type Config struct {
 	// restart backoff; the zero config's defaults apply otherwise.
 	Supervisor SupervisorConfig
 
-	// ValidationCache memoises conformance validations across the
-	// platform's layers. Nil (the default) selects the process-wide
-	// shared cache, so layers and platforms dedupe validations of
-	// identical content against each other; set DisableValidationCache to
-	// run without memoisation instead.
-	ValidationCache *metamodel.ValidationCache
-
-	// DisableValidationCache turns conformance memoisation off for this
-	// platform (it wins over ValidationCache).
-	DisableValidationCache bool
-
 	// DeltaValidation switches the Synthesis layer to incremental delta
 	// validation: a submission re-checks only the objects it touches (and
-	// the objects referring to them) instead of re-validating — and
-	// content-hashing — the whole model. Verdicts and problem reports are
+	// the objects referring to them) instead of re-validating the whole
+	// model. Verdicts and problem reports are
 	// identical to full validation. Requires the DSML to compile; a
 	// non-compiling DSML silently keeps the full-validation path.
 	DeltaValidation bool

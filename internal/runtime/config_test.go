@@ -43,7 +43,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // configEq compares two Configs field by field (Config is not comparable:
-// ExternalEvents is a func; funcs and caches compare by identity).
+// ExternalEvents is a func).
 func configEq(a, b Config) bool {
 	return a.PumpQueue == b.PumpQueue &&
 		a.PumpShards == b.PumpShards &&
@@ -51,8 +51,7 @@ func configEq(a, b Config) bool {
 		a.DrainTimeout == b.DrainTimeout &&
 		a.DLQCapacity == b.DLQCapacity &&
 		a.Supervisor == b.Supervisor &&
-		a.ValidationCache == b.ValidationCache &&
-		a.DisableValidationCache == b.DisableValidationCache &&
+		a.DeltaValidation == b.DeltaValidation &&
 		a.MonitorInterval == b.MonitorInterval
 }
 
@@ -83,14 +82,13 @@ func TestConfigValidateRejects(t *testing.T) {
 // reproducible through Config alone — the acceptance bar for the unified
 // API — by comparing the resolved Config of both constructions.
 func TestConfigMatchesOptions(t *testing.T) {
-	vc := metamodel.NewValidationCache(8)
 	sup := SupervisorConfig{DegradeAfter: 7}
 	deps := Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}}
 
 	viaOpts, err := Build(brokerOnlyModel("cfg-opts"), deps,
 		WithPumpQueue(17), WithPumpShards(3), WithShardKey("room"),
 		WithDrainTimeout(250*time.Millisecond), WithDLQCapacity(9),
-		WithSupervisor(sup), WithValidationCache(vc))
+		WithSupervisor(sup), WithDeltaValidation(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestConfigMatchesOptions(t *testing.T) {
 		DrainTimeout:    250 * time.Millisecond,
 		DLQCapacity:     9,
 		Supervisor:      sup,
-		ValidationCache: vc,
+		DeltaValidation: true,
 	}))
 	if err != nil {
 		t.Fatal(err)

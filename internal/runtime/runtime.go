@@ -121,12 +121,6 @@ type Platform struct {
 	// WithConfig and the single-field options).
 	cfg Config
 
-	// vcache is the resolved conformance-validation cache (derived from
-	// cfg): it memoises validations across the platform's layers (runtime
-	// build, UI checks, synthesis submit/restore) so the same model
-	// content is validated once, not once per layer.
-	vcache *metamodel.ValidationCache
-
 	// model is the validated middleware model the platform was built from,
 	// retained for checkpointing (models@runtime: the platform *is* this
 	// model).
@@ -225,17 +219,6 @@ func WithSupervisor(cfg SupervisorConfig) Option {
 	return func(p *Platform) { p.cfg.Supervisor = cfg }
 }
 
-// WithValidationCache sets the platform's conformance-validation cache.
-// The default is the process-wide shared cache (so layers and platforms
-// dedupe validations of identical content against each other); pass nil to
-// disable validation memoisation for this platform.
-func WithValidationCache(c *metamodel.ValidationCache) Option {
-	return func(p *Platform) {
-		p.cfg.ValidationCache = c
-		p.cfg.DisableValidationCache = c == nil
-	}
-}
-
 // WithDeltaValidation switches the Synthesis layer to incremental delta
 // validation of submissions (see Config.DeltaValidation).
 func WithDeltaValidation(on bool) Option {
@@ -258,11 +241,8 @@ func (p *Platform) externalSink() func(broker.Event) {
 
 // Build validates the middleware model against the middleware metamodel,
 // checks cross-layer consistency, and instantiates the platform. The
-// validation goes through the platform's validation cache (options are
-// applied first so WithValidationCache can redirect or disable it): when
-// the same middleware content was validated before — by a previous Build,
-// by core.Definition.Validate, or by a builder's own check — the cached
-// validated model is reused instead of re-walking conformance.
+// validation runs on a clone (it applies defaults), which the platform
+// keeps; the caller's model stays intact.
 func Build(model *metamodel.Model, deps Deps, opts ...Option) (*Platform, error) {
 	p := &Platform{
 		tracer:    deps.Tracer,
@@ -278,18 +258,8 @@ func Build(model *metamodel.Model, deps Deps, opts ...Option) (*Platform, error)
 	}
 	p.cfg = p.cfg.withDefaults()
 	p.external = p.cfg.ExternalEvents
-	switch {
-	case p.cfg.DisableValidationCache:
-		p.vcache = nil
-	case p.cfg.ValidationCache != nil:
-		p.vcache = p.cfg.ValidationCache
-	default:
-		p.vcache = metamodel.SharedValidationCache()
-	}
-	// The cache validates a clone (Validate applies defaults; the caller's
-	// model stays intact) or replays a previously validated one.
-	work, err := p.vcache.Validate(mwmeta.MM(), model)
-	if err != nil {
+	work := model.Clone()
+	if err := work.Validate(mwmeta.MM()); err != nil {
 		return nil, fmt.Errorf("runtime: middleware model does not conform: %w", err)
 	}
 	platforms := work.ObjectsOf(mwmeta.ClassPlatform)
@@ -577,13 +547,13 @@ func (p *Platform) buildSynthesis(obj *metamodel.Object, deps Deps) error {
 	s, err := synthesis.New(
 		synthesis.Config{
 			Name: obj.StringAttr("name"), DSML: deps.DSML, LTS: def,
-			Tracer: p.tracer, Metrics: p.metrics, Cache: p.vcache,
+			Tracer: p.tracer, Metrics: p.metrics,
 			Delta: p.cfg.DeltaValidation,
 		},
 		p.Controller.Execute,
-		func(m *metamodel.Model) {
+		func(m *metamodel.Model, changes metamodel.ChangeList) {
 			if p.UI != nil {
-				p.UI.OnRuntimeModel(m)
+				p.UI.OnRuntimeModel(m, changes)
 			}
 		},
 	)
@@ -596,7 +566,7 @@ func (p *Platform) buildSynthesis(obj *metamodel.Object, deps Deps) error {
 
 func (p *Platform) buildUI(obj *metamodel.Object, deps Deps) error {
 	u, err := ui.New(obj.StringAttr("name"), deps.DSML, p.Synthesis.Submit,
-		ui.WithObs(p.tracer, p.metrics), ui.WithValidationCache(p.vcache))
+		ui.WithObs(p.tracer, p.metrics))
 	if err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}

@@ -162,9 +162,12 @@ func TestEndToEndModelSubmission(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	// The runtime model reached the UI layer.
+	// The runtime model reached the UI layer, uncopied.
 	if p.UI.RuntimeModel().Len() != 2 {
 		t.Error("runtime model not published to UI")
+	}
+	if p.UI.Committed() != p.Synthesis.Committed() {
+		t.Error("the UI layer holds a copy of the committed model, not the model itself")
 	}
 
 	// models@runtime: editing the draft and resubmitting produces only

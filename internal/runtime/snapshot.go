@@ -97,7 +97,7 @@ func (p *Platform) Checkpoint() ([]byte, error) {
 		}
 	}
 	if p.Synthesis != nil {
-		app, err := metamodel.MarshalModel(p.Synthesis.CurrentModel())
+		app, err := metamodel.MarshalModel(p.Synthesis.Committed())
 		if err != nil {
 			return nil, fmt.Errorf("runtime: checkpoint %s: application model: %w", p.Name, err)
 		}

@@ -1,154 +1,278 @@
 package runtime
 
 import (
+	"encoding/json"
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
-	"github.com/mddsm/mddsm/internal/obs"
+	"github.com/mddsm/mddsm/internal/mwmeta"
 )
 
-// buildCached is buildFull with a private validation cache, so the tests
-// below can count exactly how many full conformance walks the platform
-// performs (misses) versus how many it replays (hits).
-func buildCached(t testing.TB, c *metamodel.ValidationCache) (*Platform, *rec) {
-	t.Helper()
-	r := &rec{}
-	p, err := Build(fullModel(t), Deps{
+// TestValidationRejectsNonConformant: every entry point that admits a
+// model into a platform checks its conformance — Build and Restore for the
+// middleware model; Submit, SubmitWoven, Draft.Validate and Restore for
+// the application model. Each accepts a conformant model and rejects the
+// same model made non-conformant. No entry point replays an earlier
+// verdict, so this also holds when the conformant content was admitted
+// first.
+func TestValidationRejectsNonConformant(t *testing.T) {
+	deps := Deps{
 		DSML:       toyDSML(t),
 		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
-		Adapters:   map[string]broker.Adapter{"main": r},
+		Adapters:   map[string]broker.Adapter{"main": &rec{}},
 		Repository: toyRepo(t),
-	}, WithValidationCache(c))
-	if err != nil {
-		t.Fatal(err)
 	}
-	return p, r
+	// app is a session with one stream; without the stream's required
+	// media attribute it does not conform.
+	app := func(conform bool) *metamodel.Model {
+		m := metamodel.NewModel("toy-dsml")
+		m.NewObject("s1", "Session").AddRef("streams", "st1")
+		st := m.NewObject("st1", "Stream")
+		if conform {
+			st.SetAttr("media", "audio")
+		}
+		return m
+	}
+	// middleware is the full-stack middleware model; an attribute its
+	// metamodel does not declare makes it non-conformant.
+	middleware := func(conform bool) *metamodel.Model {
+		m := fullModel(t)
+		if !conform {
+			m.ObjectsOf(mwmeta.ClassPlatform)[0].SetAttr("bogus", "x")
+		}
+		return m
+	}
+	build := func(t *testing.T) *Platform {
+		t.Helper()
+		p, err := Build(middleware(true), deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// restore checkpoints a platform that committed the conformant
+	// application model, swaps in the given models, and restores.
+	restore := func(t *testing.T, mw, appModel *metamodel.Model) error {
+		t.Helper()
+		p := build(t)
+		if _, err := p.SubmitModel(app(true)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := p.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc snapshotDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Middleware, err = metamodel.MarshalModel(mw); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Synthesis.AppModel, err = metamodel.MarshalModel(appModel); err != nil {
+			t.Fatal(err)
+		}
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Restore(data, deps)
+		return err
+	}
+
+	for _, c := range []struct {
+		name  string
+		admit func(t *testing.T, conform bool) error
+	}{
+		{"Build", func(t *testing.T, conform bool) error {
+			_, err := Build(middleware(conform), deps)
+			return err
+		}},
+		{"Submit", func(t *testing.T, conform bool) error {
+			_, err := build(t).SubmitModel(app(conform))
+			return err
+		}},
+		{"SubmitWoven", func(t *testing.T, conform bool) error {
+			_, err := build(t).UI.SubmitWoven(app(conform))
+			return err
+		}},
+		{"DraftValidate", func(t *testing.T, conform bool) error {
+			d := build(t).UI.NewDraft()
+			d.MustAdd("s1", "Session").AddRef("streams", "st1")
+			st := d.MustAdd("st1", "Stream")
+			if conform {
+				st.SetAttr("media", "audio")
+			}
+			return d.Validate()
+		}},
+		{"RestoreApplication", func(t *testing.T, conform bool) error {
+			return restore(t, middleware(true), app(conform))
+		}},
+		{"RestoreMiddleware", func(t *testing.T, conform bool) error {
+			return restore(t, middleware(conform), app(true))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.admit(t, true); err != nil {
+				t.Fatalf("conformant model rejected: %v", err)
+			}
+			if err := c.admit(t, false); err == nil {
+				t.Fatal("non-conformant model accepted")
+			}
+		})
+	}
+}
+
+// walks reports how many full conformance walks the process has run so
+// far, over every dispatch path of metamodel.Model.Validate.
+func walks() int64 {
+	fast, interpreted, fallback, _, _ := metamodel.ValidationStats()
+	return fast + interpreted + fallback
+}
+
+// toyApp is a conformant application model for the toy DSML: a session
+// with one audio stream.
+func toyApp() *metamodel.Model {
+	m := metamodel.NewModel("toy-dsml")
+	m.NewObject("s1", "Session").AddRef("streams", "st1")
+	m.NewObject("st1", "Stream").SetAttr("media", "audio")
+	return m
 }
 
 // TestBuildValidatesMiddlewareOnce: the regression test for the
 // double-validation bug. Building a platform walks the middleware model's
-// conformance exactly once; rebuilding from the same content replays the
-// cached validation instead of re-walking.
+// conformance exactly once. No verdict is replayed, so rebuilding from the
+// same content walks it once more.
 func TestBuildValidatesMiddlewareOnce(t *testing.T) {
-	c := metamodel.NewValidationCache(32)
-	reg := obs.NewMetrics()
-	c.BindMetrics(reg)
-
-	buildCached(t, c)
-	if hits, misses, _ := c.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("first build: %d hits / %d misses, want 0/1 (middleware validated once)", hits, misses)
+	mw := fullModel(t)
+	deps := Deps{
+		DSML:       toyDSML(t),
+		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
+		Adapters:   map[string]broker.Adapter{"main": &rec{}},
+		Repository: toyRepo(t),
 	}
-	buildCached(t, c)
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("second build: %d hits / %d misses, want 1/1 (validation replayed)", hits, misses)
-	}
-	if reg.CounterValue(obs.MValidateCacheMisses) != 1 {
-		t.Errorf("obs miss counter = %d, want 1", reg.CounterValue(obs.MValidateCacheMisses))
+	for i := 1; i <= 2; i++ {
+		before := walks()
+		if _, err := Build(mw, deps); err != nil {
+			t.Fatal(err)
+		}
+		if n := walks() - before; n != 1 {
+			t.Fatalf("build %d: %d conformance walks, want 1 (middleware validated once)", i, n)
+		}
 	}
 }
 
 // TestSubmitDedupesValidation: an application model's conformance is
-// checked once per content across the UI and Synthesis layers, and a
-// resubmission of unchanged content skips re-validation entirely.
+// checked once per submission across the UI and Synthesis layers — the UI
+// adds no walk of its own. A resubmission of unchanged content is checked
+// again (no verdict is replayed) and dispatches nothing.
 func TestSubmitDedupesValidation(t *testing.T) {
-	c := metamodel.NewValidationCache(32)
-	p, _ := buildCached(t, c)
-	_, misses0, _ := c.Stats()
+	p, _ := buildFull(t)
+	m := toyApp()
 
-	m := metamodel.NewModel("toy-dsml")
-	m.NewObject("s1", "Session")
-	m.NewObject("st1", "Stream").SetAttr("media", "audio")
-	m.Get("s1").AddRef("streams", "st1")
-
+	before := walks()
 	if _, err := p.SubmitModel(m); err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1, _ := c.Stats()
-	if misses1 != misses0+1 || hits1 != 0 {
-		t.Fatalf("first submit: %d hits / %d new misses, want 0 hits / 1 miss", hits1, misses1-misses0)
+	if n := walks() - before; n != 1 {
+		t.Fatalf("first submit: %d conformance walks, want 1", n)
 	}
 
-	// Resubmitting identical content: a cache hit, no re-validation.
-	if _, err := p.SubmitModel(m.Clone()); err != nil {
+	before = walks()
+	sc, err := p.SubmitModel(m.Clone())
+	if err != nil {
 		t.Fatal(err)
 	}
-	hits2, misses2, _ := c.Stats()
-	if misses2 != misses1 || hits2 != hits1+1 {
-		t.Fatalf("resubmit: stats %d/%d -> %d/%d, want one hit and no new miss",
-			hits1, misses1, hits2, misses2)
+	if n := walks() - before; n != 1 {
+		t.Fatalf("resubmit: %d conformance walks, want 1", n)
+	}
+	if sc.Len() != 0 {
+		t.Errorf("resubmit of unchanged content dispatched %d commands", sc.Len())
 	}
 }
 
-// TestSubmitWovenValidatesOnce: SubmitWoven checks the woven model at the
-// UI boundary and the Synthesis layer then reuses that validation — one
-// miss and one hit, not two full walks of the same content.
+// TestSubmitWovenValidatesOnce: SubmitWoven checks the woven model once at
+// the UI boundary. A non-conforming weave is rejected there with that one
+// walk and never reaches Synthesis. A conforming weave is then checked
+// once by Synthesis, which validates its own copy before committing: one
+// walk per layer, none repeated.
 func TestSubmitWovenValidatesOnce(t *testing.T) {
-	c := metamodel.NewValidationCache(32)
-	p, _ := buildCached(t, c)
-	_, misses0, _ := c.Stats()
+	p, _ := buildFull(t)
 
-	concern := metamodel.NewModel("toy-dsml")
-	concern.NewObject("s1", "Session")
-	concern.NewObject("st1", "Stream").SetAttr("media", "video")
-	concern.Get("s1").AddRef("streams", "st1")
-
-	if _, err := p.UI.SubmitWoven(concern); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, _ := c.Stats()
-	if misses != misses0+1 {
-		t.Errorf("woven submit caused %d validation walks, want 1", misses-misses0)
-	}
-	if hits != 1 {
-		t.Errorf("woven submit: %d cache hits, want 1 (synthesis reusing the UI check)", hits)
-	}
-
-	// A non-conforming woven model is still rejected at the UI boundary.
 	bad := metamodel.NewModel("toy-dsml")
 	bad.NewObject("st2", "Stream") // required media unset
+	before := walks()
 	if _, err := p.UI.SubmitWoven(bad); err == nil {
 		t.Fatal("non-conforming woven model accepted")
 	}
+	if n := walks() - before; n != 1 {
+		t.Errorf("rejected weave: %d conformance walks, want 1 (UI boundary only)", n)
+	}
+	if seq := p.Synthesis.Seq(); seq != 0 {
+		t.Errorf("rejected weave reached synthesis: seq %d", seq)
+	}
+
+	concern := metamodel.NewModel("toy-dsml")
+	concern.NewObject("s1", "Session").AddRef("streams", "st1")
+	concern.NewObject("st1", "Stream").SetAttr("media", "video")
+	before = walks()
+	if _, err := p.UI.SubmitWoven(concern); err != nil {
+		t.Fatal(err)
+	}
+	if n := walks() - before; n != 2 {
+		t.Errorf("woven submit: %d conformance walks, want 2 (UI boundary, then synthesis)", n)
+	}
+	if seq := p.Synthesis.Seq(); seq != 1 {
+		t.Errorf("woven submit: synthesis seq %d, want 1", seq)
+	}
 }
 
-// TestDraftValidateWarmsSubmit: an explicit Draft.Validate memoises its
-// check, so the subsequent Submit's synthesis-side validation is a hit.
+// TestDraftValidateWarmsSubmit: Draft.Validate checks a copy of the draft
+// with one walk, leaving the draft as edited, and the Submit that follows
+// reaches the same verdict with one walk of its own. Nothing is memoised
+// between them: a draft edited after Validate is checked afresh.
 func TestDraftValidateWarmsSubmit(t *testing.T) {
-	c := metamodel.NewValidationCache(32)
-	p, _ := buildCached(t, c)
-	_, misses0, _ := c.Stats()
+	p, _ := buildFull(t)
 
 	d := p.UI.NewDraft()
 	s := d.MustAdd("s1", "Session")
-	d.MustAdd("st1", "Stream").SetAttr("media", "audio")
+	st := d.MustAdd("st1", "Stream")
+	st.SetAttr("media", "audio")
 	s.AddRef("streams", "st1")
+
+	before := walks()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if n := walks() - before; n != 1 {
+		t.Fatalf("draft validate: %d conformance walks, want 1", n)
+	}
+	before = walks()
 	if _, err := d.Submit(); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ := c.Stats()
-	if misses != misses0+1 || hits != 1 {
-		t.Fatalf("draft validate+submit: %d hits / %d new misses, want 1 hit / 1 miss",
-			hits, misses-misses0)
+	if n := walks() - before; n != 1 {
+		t.Fatalf("draft submit: %d conformance walks, want 1", n)
+	}
+
+	// An edit after a passing Validate is not covered by that verdict.
+	st.UnsetAttr("media")
+	if err := d.Validate(); err == nil {
+		t.Fatal("draft validate accepted a stream without media")
+	}
+	if _, err := d.Submit(); err == nil {
+		t.Fatal("draft submit accepted a stream without media")
 	}
 }
 
-// TestRestoreReplaysValidation: restoring the same checkpoint twice
-// validates its models once — the second restore replays both the
-// middleware and the application validation from cache.
+// TestRestoreReplaysValidation: restoring a checkpoint re-validates its
+// models rather than trusting them — one walk for the middleware model and
+// one for the application model — and does so again on every restore of
+// the same checkpoint.
 func TestRestoreReplaysValidation(t *testing.T) {
-	c := metamodel.NewValidationCache(32)
-	p, r := buildCached(t, c)
-
-	m := metamodel.NewModel("toy-dsml")
-	m.NewObject("s1", "Session")
-	m.NewObject("st1", "Stream").SetAttr("media", "audio")
-	m.Get("s1").AddRef("streams", "st1")
-	if _, err := p.SubmitModel(m); err != nil {
+	p, r := buildFull(t)
+	if _, err := p.SubmitModel(toyApp()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := p.Checkpoint()
@@ -162,44 +286,38 @@ func TestRestoreReplaysValidation(t *testing.T) {
 		Adapters:   map[string]broker.Adapter{"main": r},
 		Repository: toyRepo(t),
 	}
-	if _, err := Restore(snap, deps, WithValidationCache(c)); err != nil {
-		t.Fatal(err)
-	}
-	hits1, misses1, _ := c.Stats()
-	if _, err := Restore(snap, deps, WithValidationCache(c)); err != nil {
-		t.Fatal(err)
-	}
-	hits2, misses2, _ := c.Stats()
-	if misses2 != misses1 {
-		t.Errorf("second restore re-validated: %d new misses", misses2-misses1)
-	}
-	if hits2 <= hits1 {
-		t.Errorf("second restore produced no cache hits (%d -> %d)", hits1, hits2)
+	for i := 1; i <= 2; i++ {
+		before := walks()
+		if _, err := Restore(snap, deps); err != nil {
+			t.Fatal(err)
+		}
+		if n := walks() - before; n != 2 {
+			t.Errorf("restore %d: %d conformance walks, want 2 (middleware and application)", i, n)
+		}
 	}
 }
 
-// TestDisabledCacheStillValidates: WithValidationCache(nil) turns off
-// memoisation without weakening conformance checking.
+// TestDisabledCacheStillValidates: with no validation cache, every
+// submission is checked afresh. Content accepted once is rejected once it
+// stops conforming, rejected again on resubmission, and accepted again
+// once repaired.
 func TestDisabledCacheStillValidates(t *testing.T) {
-	r := &rec{}
-	deps := Deps{
-		DSML:       toyDSML(t),
-		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
-		Adapters:   map[string]broker.Adapter{"main": r},
-		Repository: toyRepo(t),
-	}
-	p, err := Build(fullModel(t), deps, WithValidationCache(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := metamodel.NewModel("toy-dsml")
-	bad.NewObject("st1", "Stream") // required media unset
-	if _, err := p.SubmitModel(bad); err == nil {
-		t.Fatal("invalid model accepted with caching disabled")
-	}
-	good := metamodel.NewModel("toy-dsml")
-	good.NewObject("s1", "Session")
-	if _, err := p.SubmitModel(good); err != nil {
-		t.Fatal(err)
+	p, _ := buildFull(t)
+	good := toyApp()
+	bad := good.Clone()
+	bad.Get("st1").UnsetAttr("media")
+
+	for i, c := range []struct {
+		m  *metamodel.Model
+		ok bool
+	}{{good, true}, {bad, false}, {bad, false}, {good, true}} {
+		before := walks()
+		_, err := p.SubmitModel(c.m)
+		if (err == nil) != c.ok {
+			t.Fatalf("submission %d: err = %v, want accepted = %v", i, err, c.ok)
+		}
+		if n := walks() - before; n != 1 {
+			t.Errorf("submission %d: %d conformance walks, want 1", i, n)
+		}
 	}
 }

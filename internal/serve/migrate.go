@@ -33,7 +33,7 @@ func (s *Server) Export(name string) (ExportedTenant, error) {
 	)
 	if t, ok := s.tenants[name]; ok {
 		var err error
-		snap, err = t.inst.Platform.Quiesce()
+		snap, err = t.quiesce()
 		if err != nil {
 			return ExportedTenant{}, fmt.Errorf("serve: export %s: %w", name, err)
 		}
@@ -128,6 +128,7 @@ func (s *Server) Forget(name string) error {
 		return fmt.Errorf("serve: %w %q", ErrNoTenant, name)
 	}
 	if live {
+		t.ops.Lock() // retire the platform once in-flight operations finish
 		t.inst.Platform.Stop()
 	}
 	delete(s.tenants, name)
@@ -143,10 +144,11 @@ func (s *Server) Forget(name string) error {
 // after adoption: the DLQ rode along in the checkpoint, so redelivery on
 // the new home picks up exactly where the dead node left off.
 func (s *Server) Redeliver(name string) (redelivered, requeued int, err error) {
-	t, err := s.resident(name)
+	t, err := s.acquire(name)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer t.ops.RUnlock()
 	rd, rq := t.inst.Platform.Redeliver()
 	return rd, rq, nil
 }

@@ -4,11 +4,10 @@
 //
 // Each tenant owns a full platform (built through the domains registry
 // with its own observability bundle and per-tenant runtime quota) while
-// the expensive machinery is shared: all tenants validate against one
-// content-hash validation cache and — via the bundles' memoised DSML
-// instances — one compiled conformance validator per domain, so the
-// hundredth tenant of a bundle pays cache-hit prices for what the first
-// tenant compiled.
+// the expensive machinery is shared: via the bundles' memoised DSML
+// instances, all tenants of a domain validate through one compiled
+// conformance validator, so the hundredth tenant of a bundle reuses what
+// the first tenant compiled.
 //
 // Residency is bounded: past Config.MaxResident live platforms, the
 // least-recently-touched tenant is evicted — checkpointed through the
@@ -60,8 +59,7 @@ var (
 // Quota bounds one tenant's resource consumption.
 type Quota struct {
 	// Runtime is the tenant platform's tuning profile (pump queue depth,
-	// shard count, DLQ capacity, ...). Its ValidationCache field is
-	// overwritten by the server's shared cache unless explicitly set.
+	// shard count, DLQ capacity, ...).
 	Runtime runtime.Config
 	// EventRate is the sustained events/second admitted per tenant; <= 0
 	// means unlimited.
@@ -78,9 +76,8 @@ type Config struct {
 	// Quota is applied to every tenant.
 	Quota Quota
 	// Obs receives the server-wide metrics: residency gauges,
-	// eviction/rehydration counters, throttle counts and the shared
-	// validation cache's hit/miss counters. Nil means a private bundle
-	// (readable via Server.Obs).
+	// eviction/rehydration counters and throttle counts. Nil means a
+	// private bundle (readable via Server.Obs).
 	Obs *obs.Obs
 	// Now is the token-bucket time source (nil means time.Now); tests
 	// inject a fake clock for exact quota accounting.
@@ -137,6 +134,13 @@ type tenant struct {
 	obs    *obs.Obs
 	bucket *bucket
 	touch  uint64 // LRU ticket: higher = more recent
+	// ops is held shared by every submission, execution and redelivery
+	// running on the platform and exclusively by whatever stops it, so
+	// eviction and export wait for in-flight writes instead of
+	// checkpointing a platform a write is still about to commit on. Shared
+	// holds are only taken under s.mu, which an exclusive holder keeps,
+	// so no new operation can start while a stop waits.
+	ops sync.RWMutex
 }
 
 // parked is one evicted tenant: its platform state as a checkpoint, plus
@@ -154,10 +158,9 @@ type parked struct {
 // and remote.Control, so remote.NewRouterServer(s, addr) exposes it on the
 // wire.
 type Server struct {
-	cfg    Config
-	obs    *obs.Obs
-	now    func() time.Time
-	vcache *metamodel.ValidationCache
+	cfg Config
+	obs *obs.Obs
+	now func() time.Time
 
 	gResident     *obs.Gauge
 	gParked       *obs.Gauge
@@ -178,13 +181,10 @@ type Server struct {
 	closed  bool
 	// observer, when set, receives every runtime model a tenant's
 	// Synthesis layer commits (see SetModelObserver).
-	observer func(tenant string, m *metamodel.Model)
+	observer ModelObserver
 }
 
-// NewServer builds a tenant host. Unless the quota names a validation
-// cache explicitly, the server creates one and shares it across every
-// tenant, with its hit/miss counters bound to the server's obs bundle —
-// identical models submitted by different tenants validate once.
+// NewServer builds a tenant host.
 func NewServer(cfg Config) *Server {
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = DefaultMaxResident
@@ -211,10 +211,6 @@ func NewServer(cfg Config) *Server {
 		parked:        make(map[string]*parked),
 		carried:       make(map[string]Accounting),
 	}
-	if cfg.Quota.Runtime.ValidationCache == nil && !cfg.Quota.Runtime.DisableValidationCache {
-		s.vcache = metamodel.NewValidationCache(metamodel.DefaultValidationCacheSize)
-		s.vcache.BindMetrics(o.MetricsOf())
-	}
 	return s
 }
 
@@ -222,13 +218,9 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Obs() *obs.Obs { return s.obs }
 
 // tenantConfig is the per-tenant domains.Config: the shared quota profile
-// with the server's shared validation cache and a fresh obs bundle.
+// with the tenant's own obs bundle.
 func (s *Server) tenantConfig(to *obs.Obs) domains.Config {
-	rt := s.cfg.Quota.Runtime
-	if s.vcache != nil {
-		rt.ValidationCache = s.vcache
-	}
-	return domains.Config{Runtime: rt, Obs: to, Injector: s.cfg.Injector}
+	return domains.Config{Runtime: s.cfg.Quota.Runtime, Obs: to, Injector: s.cfg.Injector}
 }
 
 // Create provisions a fresh tenant on the named bundle and starts its
@@ -295,10 +287,7 @@ func (s *Server) evictLocked(name string) error {
 	if !ok {
 		return fmt.Errorf("serve: tenant %q not resident", name)
 	}
-	// Quiesce: stop-with-drain (exact accounting) then checkpoint the
-	// settled state. On checkpoint failure Quiesce restarts the platform,
-	// so the tenant is never stranded half-evicted.
-	snap, err := t.inst.Platform.Quiesce()
+	snap, err := t.quiesce()
 	if err != nil {
 		return fmt.Errorf("serve: evict %s: %w", name, err)
 	}
@@ -308,6 +297,21 @@ func (s *Server) evictLocked(name string) error {
 	s.gResident.Set(int64(len(s.tenants)))
 	s.gParked.Set(int64(len(s.parked)))
 	return nil
+}
+
+// quiesce waits for the tenant's in-flight operations, then stops its
+// platform with drain (exact accounting) and checkpoints the settled
+// state. On success the platform is retired and the exclusive hold is
+// never released. On checkpoint failure Quiesce restarts the platform, so
+// the tenant is never stranded half-stopped, and operations resume.
+func (t *tenant) quiesce() ([]byte, error) {
+	t.ops.Lock()
+	snap, err := t.inst.Platform.Quiesce()
+	if err != nil {
+		t.ops.Unlock()
+		return nil, err
+	}
+	return snap, nil
 }
 
 // Evict forces one tenant out of residency (checkpoint → stop → park).
@@ -323,6 +327,25 @@ func (s *Server) Evict(name string) error {
 func (s *Server) resident(name string) (*tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.residentLocked(name)
+}
+
+// acquire is resident plus one in-flight operation registered on the
+// tenant's platform, which eviction waits for. The caller releases it with
+// t.ops.RUnlock once the operation has returned.
+func (s *Server) acquire(name string) (*tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, err := s.residentLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	t.ops.RLock()
+	return t, nil
+}
+
+// residentLocked is resident with s.mu already held.
+func (s *Server) residentLocked(name string) (*tenant, error) {
 	if s.closed {
 		return nil, fmt.Errorf("serve: server closed")
 	}
@@ -388,21 +411,26 @@ func (s *Server) PostEvent(name string, ev broker.Event) error {
 	return nil
 }
 
-// Execute runs one command script on a tenant's Controller.
+// Execute runs one command script on a tenant's Controller. Eviction
+// waits for it to return.
 func (s *Server) Execute(name string, sc *script.Script) error {
-	t, err := s.resident(name)
+	t, err := s.acquire(name)
 	if err != nil {
 		return err
 	}
+	defer t.ops.RUnlock()
 	return t.inst.Platform.Execute(sc)
 }
 
 // SubmitModel submits an application model into a tenant's UI layer.
+// Eviction waits for it to return, so an acknowledged submission is always
+// in the checkpoint a later rehydration restores.
 func (s *Server) SubmitModel(name string, m *metamodel.Model) (*script.Script, error) {
-	t, err := s.resident(name)
+	t, err := s.acquire(name)
 	if err != nil {
 		return nil, err
 	}
+	defer t.ops.RUnlock()
 	return t.inst.Platform.SubmitModel(m)
 }
 
@@ -424,38 +452,57 @@ func (s *Server) Snapshot(name string) ([]byte, error) {
 	return t.inst.Platform.Checkpoint()
 }
 
-// watchLocked subscribes the server's model observer to a tenant's UI
-// layer, stamping the tenant name onto every published model. s.mu must be
-// held.
+// ModelObserver receives the application models tenants' Synthesis layers
+// commit — the feed the HTTP watch streams fan out from. Its methods run
+// on the goroutine that caused the report and must not call back into the
+// Server. The models are the platforms' own: shared and immutable, to be
+// read and kept but never modified.
+type ModelObserver interface {
+	// Attach reports a tenant's current model when a platform starts
+	// serving it: on create, on rehydration after eviction or adoption,
+	// and for tenants already resident when the observer is installed.
+	// The change lists of later commits continue from this model, which
+	// differs from the last one the observer saw if the tenant's state
+	// moved while it was away.
+	Attach(tenant string, m *metamodel.Model)
+	// Commit reports one committed model with the change list that turned
+	// the tenant's previous model into it.
+	Commit(tenant string, m *metamodel.Model, changes metamodel.ChangeList)
+}
+
+// watchLocked attaches the server's model observer to a tenant's UI layer.
+// s.mu must be held, and no operation may be in flight on the platform,
+// so no commit lands between the attach and the subscription.
 func (s *Server) watchLocked(t *tenant) {
 	if s.observer == nil || t.inst.Platform.UI == nil {
 		return
 	}
-	name, fn := t.name, s.observer
-	t.inst.Platform.UI.Subscribe(func(m *metamodel.Model) { fn(name, m) })
+	name, o, u := t.name, s.observer, t.inst.Platform.UI
+	o.Attach(name, u.Committed())
+	u.Subscribe(func(m *metamodel.Model, changes metamodel.ChangeList) { o.Commit(name, m, changes) })
 }
 
-// SetModelObserver installs a hook that receives every runtime model a
-// tenant's Synthesis layer commits — the feed the HTTP watch streams fan
-// out from. The hook applies to tenants created or rehydrated afterwards
-// and is retroactively subscribed to already-resident tenants; install it
-// once, before serving traffic. The callback runs on the committing
-// goroutine, carries a caller-owned model clone, and must not call back
-// into the Server.
-func (s *Server) SetModelObserver(fn func(tenant string, m *metamodel.Model)) {
+// SetModelObserver installs the observer of every tenant's committed
+// models. It applies to tenants created or rehydrated afterwards and is
+// retroactively attached to already-resident tenants; install it once,
+// before serving traffic.
+func (s *Server) SetModelObserver(o ModelObserver) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.observer = fn
+	s.observer = o
 	for _, t := range s.tenants {
+		t.ops.Lock()
 		s.watchLocked(t)
+		t.ops.Unlock()
 	}
 }
 
-// Model returns a copy of the tenant's committed application model
-// together with the DSML metamodel it conforms to, rehydrating the tenant
-// if eviction parked it. Platforms without a UI layer read through the
-// Synthesis layer; a platform with neither has no application model.
-func (s *Server) Model(name string) (*metamodel.Model, *metamodel.Metamodel, error) {
+// committed returns the tenant's committed application model itself —
+// shared and immutable — with the DSML metamodel it conforms to,
+// rehydrating the tenant if eviction parked it. Platforms without a UI
+// layer read through the Synthesis layer; a platform with neither has no
+// application model.
+func (s *Server) committed(name string) (*metamodel.Model, *metamodel.Metamodel, error) {
 	t, err := s.resident(name)
 	if err != nil {
 		return nil, nil, err
@@ -463,12 +510,39 @@ func (s *Server) Model(name string) (*metamodel.Model, *metamodel.Metamodel, err
 	p := t.inst.Platform
 	switch {
 	case p.UI != nil:
-		return p.UI.RuntimeModel(), p.UI.DSML(), nil
+		return p.UI.Committed(), p.UI.DSML(), nil
 	case p.Synthesis != nil:
-		return p.Synthesis.CurrentModel(), p.Synthesis.DSML(), nil
+		return p.Synthesis.Committed(), p.Synthesis.DSML(), nil
 	default:
 		return nil, nil, fmt.Errorf("serve: tenant %q has no model layer", name)
 	}
+}
+
+// Model returns a copy of the tenant's committed application model
+// together with the DSML metamodel it conforms to, rehydrating the tenant
+// if eviction parked it.
+func (s *Server) Model(name string) (*metamodel.Model, *metamodel.Metamodel, error) {
+	m, mm, err := s.committed(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.Clone(), mm, nil
+}
+
+// Object returns a copy of one object of the tenant's committed
+// application model — nil when the model has no object with that ID —
+// together with the DSML metamodel, rehydrating the tenant if eviction
+// parked it. It copies only the object, so its cost does not grow with
+// the model.
+func (s *Server) Object(name, id string) (*metamodel.Object, *metamodel.Metamodel, error) {
+	m, mm, err := s.committed(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o := m.Get(id); o != nil {
+		return o.Clone(), mm, nil
+	}
+	return nil, mm, nil
 }
 
 // EachTenantObs visits every tenant's observability bundle (resident and
@@ -623,6 +697,7 @@ func (s *Server) Close() {
 	s.tenants = map[string]*tenant{}
 	s.mu.Unlock()
 	for _, t := range tenants {
+		t.ops.Lock() // let in-flight operations finish first
 		t.inst.Platform.Stop()
 	}
 	s.gResident.Set(0)

@@ -32,8 +32,11 @@ import (
 type Dispatch func(*script.Script) error
 
 // ModelObserver receives the committed runtime model after each successful
-// submission (the dispatcher's "new runtime model to the UI").
-type ModelObserver func(*metamodel.Model)
+// submission or restore (the dispatcher's "new runtime model to the UI"),
+// with the change list that turned the previously committed model into it.
+// The model is the layer's own, not a copy: a committed model is never
+// modified again, so observers may read and keep it but must not modify it.
+type ModelObserver func(m *metamodel.Model, changes metamodel.ChangeList)
 
 // Config assembles a Synthesis layer.
 type Config struct {
@@ -46,16 +49,12 @@ type Config struct {
 	// Tracer and Metrics observe the layer; both may be nil (disabled).
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
-	// Cache memoises conformance validations by content hash; nil disables
-	// memoisation. The runtime shares one cache across its layers so a
-	// model validated at the UI boundary is not re-validated here.
-	Cache *metamodel.ValidationCache
 	// Delta switches submissions to incremental delta validation: only the
 	// objects a submission touches (plus the objects referring to them) are
-	// re-checked, instead of re-validating — and content-hashing — the whole
-	// model. Requires the DSML to compile; falls back to full validation
-	// otherwise. Verdicts and problem reports are identical to full
-	// validation by construction.
+	// re-checked, instead of re-validating the whole model. Requires the
+	// DSML to compile; falls back to full validation otherwise. Verdicts
+	// and problem reports are identical to full validation by
+	// construction.
 	Delta bool
 }
 
@@ -67,7 +66,6 @@ type Config struct {
 type Synthesis struct {
 	name     string
 	dsml     *metamodel.Metamodel
-	vcache   *metamodel.ValidationCache
 	instance *lts.Instance
 	dispatch Dispatch
 	observe  ModelObserver
@@ -115,7 +113,6 @@ func New(cfg Config, dispatch Dispatch, observe ModelObserver) (*Synthesis, erro
 	s := &Synthesis{
 		name:     cfg.Name,
 		dsml:     cfg.DSML,
-		vcache:   cfg.Cache,
 		instance: lts.NewInstance(cfg.LTS),
 		dispatch: dispatch,
 		observe:  observe,
@@ -178,9 +175,15 @@ func (s *Synthesis) DSML() *metamodel.Metamodel { return s.dsml }
 
 // CurrentModel returns a deep copy of the running runtime model.
 func (s *Synthesis) CurrentModel() *metamodel.Model {
+	return s.Committed().Clone()
+}
+
+// Committed returns the running runtime model itself, without copying. It
+// is shared and immutable: callers must not modify it.
+func (s *Synthesis) Committed() *metamodel.Model {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.current.Clone()
+	return s.current
 }
 
 // State returns the LTS instance's current state (diagnostics).
@@ -204,16 +207,17 @@ func (s *Synthesis) Seq() int {
 // re-provisioned out of band). The model must conform to the DSML and the
 // LTS state must be one the instance's definition declares.
 func (s *Synthesis) RestoreState(m *metamodel.Model, seq int, ltsState string) error {
-	candidate, err := s.vcache.Validate(s.dsml, m)
-	if err != nil {
+	candidate := m.Clone()
+	if err := candidate.Validate(s.dsml); err != nil {
 		return fmt.Errorf("synthesis %s: restored model does not conform to %s: %w",
 			s.name, s.dsml.Name, err)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.instance.Restore(ltsState); err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("synthesis %s: restore: %w", s.name, err)
 	}
+	changes := metamodel.DiffWithContainment(s.current, candidate, s.dsml)
 	s.current = candidate
 	if s.delta != nil {
 		// Incremental indexes are only valid relative to the model they were
@@ -223,9 +227,8 @@ func (s *Synthesis) RestoreState(m *metamodel.Model, seq int, ltsState string) e
 	if seq > s.seq {
 		s.seq = seq
 	}
-	s.mu.Unlock()
 	if s.observe != nil {
-		s.observe(candidate.Clone())
+		s.observe(candidate, changes)
 	}
 	return nil
 }
@@ -267,8 +270,8 @@ func (s *Synthesis) doSubmit(newModel *metamodel.Model) (out *script.Script, err
 	if s.delta != nil {
 		// Incremental path: diff first, normalise the changes into the form
 		// full validation would have produced, then validate only the
-		// touched objects (and their referrers). Skips both the whole-model
-		// scan and the validation cache's per-submit content hashing.
+		// touched objects (and their referrers), skipping the whole-model
+		// scan.
 		s.mDelta.Inc()
 		raw := metamodel.DiffWithContainment(s.current, newModel, s.dsml)
 		changes = metamodel.NormalizeChanges(s.deltaCM, s.current, raw)
@@ -282,11 +285,12 @@ func (s *Synthesis) doSubmit(newModel *metamodel.Model) (out *script.Script, err
 				s.name, s.dsml.Name, verr)
 		}
 	} else {
-		var cerr error
-		candidate, cerr = s.vcache.Validate(s.dsml, newModel)
-		if cerr != nil {
+		// Validation normalises in place, so it runs on the layer's own
+		// copy: the submitted model stays the caller's.
+		candidate = newModel.Clone()
+		if verr := candidate.Validate(s.dsml); verr != nil {
 			return nil, fmt.Errorf("synthesis %s: model does not conform to %s: %w",
-				s.name, s.dsml.Name, cerr)
+				s.name, s.dsml.Name, verr)
 		}
 		changes = metamodel.DiffWithContainment(s.current, candidate, s.dsml)
 	}
@@ -305,7 +309,7 @@ func (s *Synthesis) doSubmit(newModel *metamodel.Model) (out *script.Script, err
 	}
 	s.current = candidate
 	if s.observe != nil {
-		s.observe(s.current.Clone())
+		s.observe(candidate, changes)
 	}
 	return out, nil
 }

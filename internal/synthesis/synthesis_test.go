@@ -88,7 +88,7 @@ func newSynth(t *testing.T) (*Synthesis, *capture, *[]*metamodel.Model) {
 	cap := &capture{}
 	var published []*metamodel.Model
 	s, err := New(Config{Name: "se", DSML: commDSML(t), LTS: commLTS()},
-		cap.dispatch, func(m *metamodel.Model) { published = append(published, m) })
+		cap.dispatch, func(m *metamodel.Model, _ metamodel.ChangeList) { published = append(published, m) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,21 +20,23 @@ import (
 // control script it produced.
 type SubmitFunc func(*metamodel.Model) (*script.Script, error)
 
+// Listener receives each committed runtime model together with the change
+// list that produced it from the previous one. The model is shared and
+// immutable: listeners read it and may keep it, but never modify it.
+type Listener func(m *metamodel.Model, changes metamodel.ChangeList)
+
 // UI is the live UI layer.
 type UI struct {
 	name   string
 	dsml   *metamodel.Metamodel
-	vcache *metamodel.ValidationCache
 	submit SubmitFunc
 
 	tracer   *obs.Tracer
 	mSubmits *obs.Counter
 
-	mu         sync.Mutex
-	runtime    *metamodel.Model     // map-form fallback; authoritative when slotsValid is false
-	slots      *metamodel.SlotModel // slot-form runtime model, storage reused across publishes
-	slotsValid bool
-	listeners  []func(*metamodel.Model)
+	mu        sync.Mutex
+	runtime   *metamodel.Model // the last committed model; shared, never modified
+	listeners []Listener
 }
 
 // Option customises UI construction.
@@ -47,14 +49,6 @@ func WithObs(t *obs.Tracer, m *obs.Metrics) Option {
 		u.tracer = t
 		u.mSubmits = m.Counter(obs.MUISubmits)
 	}
-}
-
-// WithValidationCache shares a conformance-validation cache with the layer.
-// Draft validation and woven-model checks then warm the same cache the
-// Synthesis layer reads, so a model validated here is not re-validated on
-// submission. A nil cache (the default) validates without memoisation.
-func WithValidationCache(c *metamodel.ValidationCache) Option {
-	return func(u *UI) { u.vcache = c }
 }
 
 // New builds a UI layer for a DSML. submit is normally the Synthesis
@@ -71,13 +65,6 @@ func New(name string, dsml *metamodel.Metamodel, submit SubmitFunc, opts ...Opti
 		dsml:    dsml,
 		submit:  submit,
 		runtime: metamodel.NewModel(dsml.Name),
-	}
-	// Keep the published runtime model in slot form when the DSML compiles:
-	// one set of typed columns reused across publishes instead of a full
-	// map-of-maps clone per OnRuntimeModel. Falls back to map clones when
-	// the metamodel does not compile or a published model is not canonical.
-	if cm, err := dsml.Compiled(); err == nil {
-		u.slots = metamodel.NewSlotModel(cm)
 	}
 	for _, o := range opts {
 		o(u)
@@ -110,48 +97,39 @@ func (u *UI) NewDraft() *Draft {
 // EditDraft starts a draft seeded from the latest runtime model, the usual
 // flow for incremental (models@runtime) updates.
 func (u *UI) EditDraft() *Draft {
-	return &Draft{ui: u, model: u.runtimeCopy()}
+	return &Draft{ui: u, model: u.RuntimeModel()}
 }
 
 // RuntimeModel returns a copy of the last published runtime model.
 func (u *UI) RuntimeModel() *metamodel.Model {
-	return u.runtimeCopy()
+	return u.Committed().Clone()
 }
 
-// runtimeCopy materialises a caller-owned copy of the latest runtime model
-// from whichever representation currently holds it.
-func (u *UI) runtimeCopy() *metamodel.Model {
+// Committed returns the last published runtime model itself, without
+// copying. It is shared and immutable: callers must not modify it.
+func (u *UI) Committed() *metamodel.Model {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.slotsValid {
-		return u.slots.Materialize()
-	}
-	return u.runtime.Clone()
+	return u.runtime
 }
 
-// OnRuntimeModel receives the committed runtime model from the Synthesis
-// dispatcher and notifies subscribers. The model is snapshotted into the
-// reused slot representation; models the slot form cannot hold (metamodel
-// drift, non-canonical values) fall back to a map clone.
-func (u *UI) OnRuntimeModel(m *metamodel.Model) {
+// OnRuntimeModel receives the committed runtime model and its change list
+// from the Synthesis dispatcher, keeps the model and passes both on to
+// subscribers. The model is shared, not copied: the dispatcher never
+// modifies a model once committed.
+func (u *UI) OnRuntimeModel(m *metamodel.Model, changes metamodel.ChangeList) {
 	u.mu.Lock()
-	if u.slots != nil && u.slots.Load(m) == nil {
-		u.slotsValid = true
-		u.runtime = nil
-	} else {
-		u.slotsValid = false
-		u.runtime = m.Clone()
-	}
-	listeners := make([]func(*metamodel.Model), len(u.listeners))
+	u.runtime = m
+	listeners := make([]Listener, len(u.listeners))
 	copy(listeners, u.listeners)
 	u.mu.Unlock()
 	for _, fn := range listeners {
-		fn(m.Clone())
+		fn(m, changes)
 	}
 }
 
 // Subscribe registers a listener for runtime-model updates.
-func (u *UI) Subscribe(fn func(*metamodel.Model)) {
+func (u *UI) Subscribe(fn Listener) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.listeners = append(u.listeners, fn)
@@ -167,7 +145,8 @@ func (u *UI) SubmitWoven(concerns ...*metamodel.Model) (*script.Script, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ui %s: weave: %w", u.name, err)
 	}
-	if _, err := u.vcache.Validate(u.dsml, woven); err != nil {
+	// The woven model is private to this call, so it validates in place.
+	if err := woven.Validate(u.dsml); err != nil {
 		return nil, fmt.Errorf("ui %s: woven model does not conform: %w", u.name, err)
 	}
 	return u.Submit(woven)
@@ -230,11 +209,10 @@ func (d *Draft) Remove(id string) error {
 func (d *Draft) Model() *metamodel.Model { return d.model }
 
 // Validate checks draft conformance against the DSML without submitting.
-// With a shared validation cache the result is memoised, so a subsequent
-// Submit of the unmodified draft skips re-validation in Synthesis.
+// It validates a copy, so the draft itself is left as edited (validation
+// normalises values and applies defaults).
 func (d *Draft) Validate() error {
-	_, err := d.ui.vcache.Validate(d.ui.dsml, d.model)
-	return err
+	return d.model.Clone().Validate(d.ui.dsml)
 }
 
 // Submit sends the draft to the Synthesis layer and returns the control

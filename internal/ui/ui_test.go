@@ -108,14 +108,24 @@ func TestDraftRemoveCleansReferences(t *testing.T) {
 func TestRuntimeModelRoundTrip(t *testing.T) {
 	u, _ := newUI(t)
 	var notified int
-	u.Subscribe(func(m *metamodel.Model) { notified++ })
+	var gotModel *metamodel.Model
+	var gotChanges metamodel.ChangeList
+	u.Subscribe(func(m *metamodel.Model, changes metamodel.ChangeList) {
+		notified++
+		gotModel, gotChanges = m, changes
+	})
 
 	m := metamodel.NewModel("toy")
 	m.NewObject("t1", "Thing").SetAttr("name", "live")
-	u.OnRuntimeModel(m)
+	changes := metamodel.Diff(metamodel.NewModel("toy"), m)
+	u.OnRuntimeModel(m, changes)
 
 	if notified != 1 {
 		t.Errorf("subscriber notifications: %d", notified)
+	}
+	// The committed model and its change list pass through uncopied.
+	if gotModel != m || u.Committed() != m || len(gotChanges) != len(changes) {
+		t.Errorf("published model or change list was copied or altered")
 	}
 	got := u.RuntimeModel()
 	if got.Len() != 1 || got.Get("t1").StringAttr("name") != "live" {

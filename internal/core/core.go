@@ -138,25 +138,11 @@ func (d *Definition) buildRepository() (*registry.Repository, error) {
 // Build validates the definition and instantiates the platform through the
 // generic runtime's component factory.
 func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
-	if err := def.Validate(); err != nil {
+	deps, err := def.deps()
+	if err != nil {
 		return nil, err
 	}
-	repo, err := def.buildRepository()
-	if err != nil {
-		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
-	}
-	p, err := runtime.Build(def.Middleware, runtime.Deps{
-		DSML:       def.DSML,
-		LTSes:      def.DSK.LTSes,
-		Adapters:   def.DSK.Adapters,
-		Repository: repo,
-		Scripts:    def.DSK.Scripts,
-		Clock:      def.Clock,
-		Tracer:     def.Obs.TracerOf(),
-		Metrics:    def.Obs.MetricsOf(),
-		Injector:   def.Injector,
-		Resilience: def.Resilience,
-	}, opts...)
+	p, err := runtime.Build(def.Middleware, deps, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
 	}
@@ -164,35 +150,46 @@ func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
 }
 
 // Restore validates the definition and rebuilds a platform from a
-// runtime.Checkpoint snapshot, binding it to the definition's DSK. The
-// snapshot's middleware model replaces def.Middleware as the platform
-// structure (it is the model the checkpointed platform actually ran), but
-// the definition is still validated in full so the DSK the restored
-// platform binds to is known-consistent.
-func Restore(def Definition, snapshot []byte, opts ...runtime.Option) (*runtime.Platform, error) {
-	if err := def.Validate(); err != nil {
+// runtime.Snapshot (decoded from Checkpoint bytes or captured in process),
+// binding it to the definition's DSK. The snapshot's middleware model
+// replaces def.Middleware as the platform structure (it is the model the
+// checkpointed platform actually ran), but the definition is still
+// validated in full so the DSK the restored platform binds to is
+// known-consistent.
+func Restore(def Definition, snap *runtime.Snapshot, opts ...runtime.Option) (*runtime.Platform, error) {
+	deps, err := def.deps()
+	if err != nil {
 		return nil, err
 	}
-	repo, err := def.buildRepository()
-	if err != nil {
-		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
-	}
-	p, err := runtime.Restore(snapshot, runtime.Deps{
-		DSML:       def.DSML,
-		LTSes:      def.DSK.LTSes,
-		Adapters:   def.DSK.Adapters,
-		Repository: repo,
-		Scripts:    def.DSK.Scripts,
-		Clock:      def.Clock,
-		Tracer:     def.Obs.TracerOf(),
-		Metrics:    def.Obs.MetricsOf(),
-		Injector:   def.Injector,
-		Resilience: def.Resilience,
-	}, opts...)
+	p, err := runtime.RestoreSnapshot(snap, deps, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
 	}
 	return p, nil
+}
+
+// deps validates the definition and binds its DSK, clock and hooks into
+// the runtime's dependency bundle.
+func (d *Definition) deps() (runtime.Deps, error) {
+	if err := d.Validate(); err != nil {
+		return runtime.Deps{}, err
+	}
+	repo, err := d.buildRepository()
+	if err != nil {
+		return runtime.Deps{}, fmt.Errorf("definition %s: %w", d.Name, err)
+	}
+	return runtime.Deps{
+		DSML:       d.DSML,
+		LTSes:      d.DSK.LTSes,
+		Adapters:   d.DSK.Adapters,
+		Repository: repo,
+		Scripts:    d.DSK.Scripts,
+		Clock:      d.Clock,
+		Tracer:     d.Obs.TracerOf(),
+		Metrics:    d.Obs.MetricsOf(),
+		Injector:   d.Injector,
+		Resilience: d.Resilience,
+	}, nil
 }
 
 // checkLTSConformance verifies that the model-change event patterns of an

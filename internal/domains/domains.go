@@ -7,9 +7,9 @@
 //
 // The package also unifies the checkpoint/restore entry points: where
 // cml.Restore and mgrid.Restore used to copy-paste the
-// assemble→core.Restore→reseed dance, domains.Restore(bundle, snapshot,
-// cfg) is the single registry-driven path (domains.New is its
-// construction twin). Import github.com/mddsm/mddsm/internal/domains/all
+// assemble→core.Restore→reseed dance, domains.RestoreSnapshot(bundle,
+// snapshot, cfg) is the single registry-driven path (domains.New is its
+// construction twin, domains.Restore its byte-decoding front). Import github.com/mddsm/mddsm/internal/domains/all
 // for the side effect of registering every built-in bundle.
 package domains
 
@@ -161,18 +161,29 @@ func New(bundle string, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// Restore rebuilds an instance of the named bundle from a
-// runtime.Checkpoint snapshot: the bundle's shell and DSK are assembled
-// fresh, the snapshot's middleware model and layer state are reinstated
-// through core.Restore, and the shell's feedback loop is re-attached. It
-// replaces the per-domain Restore copies (cml.Restore, mgrid.Restore).
-// The restored platform is not started.
+// Restore rebuilds an instance of the named bundle from
+// runtime.Checkpoint bytes: it decodes them and hands the snapshot to
+// RestoreSnapshot. The restored platform is not started.
 func Restore(bundle string, snapshot []byte, cfg Config) (*Instance, error) {
+	snap, err := runtime.DecodeSnapshot(snapshot)
+	if err != nil {
+		return nil, fmt.Errorf("domains: restore %s: %w", bundle, err)
+	}
+	return RestoreSnapshot(bundle, snap, cfg)
+}
+
+// RestoreSnapshot rebuilds an instance of the named bundle from a
+// runtime.Snapshot: the bundle's shell and DSK are assembled fresh, the
+// snapshot's middleware model and layer state are reinstated through
+// core.Restore, and the shell's feedback loop is re-attached. It replaces
+// the per-domain Restore copies (cml.Restore, mgrid.Restore). The
+// restored platform is not started.
+func RestoreSnapshot(bundle string, snap *runtime.Snapshot, cfg Config) (*Instance, error) {
 	inst, err := assemble(bundle, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Restore(inst.definition, snapshot, runtime.WithConfig(cfg.Runtime))
+	p, err := core.Restore(inst.definition, snap, runtime.WithConfig(cfg.Runtime))
 	if err != nil {
 		return nil, fmt.Errorf("domains: restore %s: %w", bundle, err)
 	}

@@ -2,6 +2,7 @@ package metamodel
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -208,7 +209,7 @@ func diffOrdered(oldM, newM *Model, depth map[string]int) ChangeList {
 				out = append(out, Change{Kind: ChangeUnsetAttr, ObjectID: id, Class: n.Class, Feature: name, Old: ov})
 			case !oset && nset:
 				out = append(out, Change{Kind: ChangeSetAttr, ObjectID: id, Class: n.Class, Feature: name, New: nv})
-			case oset && nset && ov != nv:
+			case oset && nset && !sameValue(ov, nv):
 				out = append(out, Change{Kind: ChangeSetAttr, ObjectID: id, Class: n.Class, Feature: name, Old: ov, New: nv})
 			}
 		}
@@ -297,7 +298,7 @@ func Equal(a, b *Model) bool {
 		for _, n := range an {
 			va, _ := oa.Attr(n)
 			vb, ok := ob.Attr(n)
-			if !ok || va != vb {
+			if !ok || !sameValue(va, vb) {
 				return false
 			}
 		}
@@ -318,6 +319,17 @@ func Equal(a, b *Model) bool {
 		}
 	}
 	return true
+}
+
+// sameValue reports whether two attribute values are equal: with == when
+// the dynamic type is comparable, element by element when it is not (a
+// slice or map, such as a decoded JSON array or object, on which == would
+// panic).
+func sameValue(a, b any) bool {
+	if t := reflect.TypeOf(a); t == nil || t.Comparable() {
+		return a == b
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 func unionSorted(a, b []string) []string {

@@ -41,26 +41,54 @@ func TestDiffAddRemoveObject(t *testing.T) {
 }
 
 func TestDiffAttrChanges(t *testing.T) {
-	oldM := sampleModel(t)
-	newM := oldM.Clone()
-	newM.Get("b1").SetAttr("pages", 500)   // changed
-	newM.Get("b1").SetAttr("rating", 3.5)  // added
-	delete(newM.Get("b2").attrs, "rating") // removed
-	cl := Diff(oldM, newM)
-	if len(cl) != 3 {
-		t.Fatalf("want 3 changes, got %d:\n%s", len(cl), cl)
+	cases := []struct {
+		name       string
+		edit       func(m *Model)
+		set, unset int
+	}{
+		{"changed, added and removed", func(m *Model) {
+			m.Get("b1").SetAttr("pages", 500)   // changed
+			m.Get("b1").SetAttr("rating", 3.5)  // added
+			delete(m.Get("b2").attrs, "rating") // removed
+		}, 2, 1},
+		// Decoded JSON arrays and objects are not comparable with ==;
+		// equal ones are no change and different ones one set-attr each.
+		{"equal arrays and maps", func(m *Model) {
+			m.Get("b1").SetAttr("tags", []any{"a", 1.0})
+			m.Get("b2").SetAttr("meta", map[string]any{"k": []any{}})
+		}, 0, 0},
+		{"changed array and map", func(m *Model) {
+			m.Get("b1").SetAttr("tags", []any{"a", 2.0})
+			m.Get("b2").SetAttr("meta", map[string]any{"k": []any{"x"}})
+		}, 2, 0},
+		{"array replaced by a scalar", func(m *Model) {
+			m.Get("b1").SetAttr("tags", "a")
+		}, 1, 0},
 	}
-	var set, unset int
-	for _, c := range cl {
-		switch c.Kind {
-		case ChangeSetAttr:
-			set++
-		case ChangeUnsetAttr:
-			unset++
-		}
-	}
-	if set != 2 || unset != 1 {
-		t.Errorf("want 2 set + 1 unset, got %d set %d unset:\n%s", set, unset, cl)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			oldM := sampleModel(t)
+			oldM.Get("b1").SetAttr("tags", []any{"a", 1.0})
+			oldM.Get("b2").SetAttr("meta", map[string]any{"k": []any{}})
+			newM := oldM.Clone()
+			tc.edit(newM)
+			cl := Diff(oldM, newM)
+			var set, unset int
+			for _, c := range cl {
+				switch c.Kind {
+				case ChangeSetAttr:
+					set++
+				case ChangeUnsetAttr:
+					unset++
+				}
+			}
+			if len(cl) != tc.set+tc.unset || set != tc.set || unset != tc.unset {
+				t.Errorf("want %d set + %d unset, got %d set %d unset:\n%s", tc.set, tc.unset, set, unset, cl)
+			}
+			if eq := Equal(oldM, newM); eq != cl.Empty() {
+				t.Errorf("Equal = %v but the diff has %d changes", eq, len(cl))
+			}
+		})
 	}
 }
 

@@ -12,6 +12,8 @@
 package mwmeta
 
 import (
+	"sync"
+
 	"github.com/mddsm/mddsm/internal/metamodel"
 )
 
@@ -38,9 +40,16 @@ const (
 	ClassResourceBinding = "ResourceBinding"
 )
 
-// MM constructs the middleware metamodel. The result is freshly built on
-// each call so callers may not mutate shared state; it always validates.
-func MM() *metamodel.Metamodel {
+// MM returns the middleware metamodel. It is built once and shared by
+// every caller — platform builds, definition checks and restores all
+// validate against one instance, which compiles its conformance validator
+// once — so callers must not mutate it. It always validates.
+func MM() *metamodel.Metamodel { return shared() }
+
+var shared = sync.OnceValue(build)
+
+// build constructs the middleware metamodel.
+func build() *metamodel.Metamodel {
 	m := metamodel.New(Name)
 
 	m.MustAddClass(&metamodel.Class{Name: ClassPlatform,

@@ -518,7 +518,9 @@ type SpanRecord struct {
 	Name   string
 	Start  time.Time
 	Dur    time.Duration
-	Attrs  map[string]any
+	// Key and Value are the span's one string attribute, stored inline
+	// (both empty when the span set none).
+	Key, Value string
 }
 
 // spanStats aggregates finished spans by name.
@@ -560,7 +562,7 @@ func NewTracer() *Tracer {
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Span is one traced operation. The zero Span (returned by a disabled
-// tracer) is a valid no-op; End and SetAttr return immediately.
+// tracer) is a valid no-op; End and SetStr return immediately.
 type Span struct {
 	t      *Tracer
 	id     SpanID
@@ -568,7 +570,8 @@ type Span struct {
 	gid    uint64
 	name   string
 	start  time.Time
-	attrs  map[string]any
+	key    string
+	value  string
 }
 
 // Start opens a span named name, linked to the innermost span currently
@@ -596,29 +599,14 @@ func (s Span) ID() SpanID { return s.id }
 // Parent returns the parent span's identifier (0 for roots).
 func (s Span) Parent() SpanID { return s.parent }
 
-// SetAttr attaches an attribute to the span. No-op on disabled spans, so
-// callers need not gate attribute formatting on Enabled.
-func (s *Span) SetAttr(key string, v any) {
-	if s.t == nil {
-		return
-	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
-	}
-	s.attrs[key] = v
-}
-
-// SetStr attaches a string attribute. Unlike SetAttr its signature takes
-// no interface value, so a disabled span costs only the nil check — the
-// caller never boxes the string. Prefer it on hot paths.
+// SetStr sets the span's one string attribute, replacing any earlier
+// one. It is stored inline in the span and its record, so it allocates
+// nothing, and a disabled span costs only the nil check.
 func (s *Span) SetStr(key, v string) {
 	if s.t == nil {
 		return
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
-	}
-	s.attrs[key] = v
+	s.key, s.value = key, v
 }
 
 // End closes the span, pops it from its goroutine's stack and folds it
@@ -649,7 +637,7 @@ func (s Span) End() {
 	}
 	t.ring[t.cursor] = SpanRecord{
 		ID: s.id, Parent: s.parent, Name: s.name,
-		Start: s.start, Dur: dur, Attrs: s.attrs,
+		Start: s.start, Dur: dur, Key: s.key, Value: s.value,
 	}
 	t.cursor++
 	if t.cursor == len(t.ring) {

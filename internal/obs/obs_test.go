@@ -73,11 +73,38 @@ func TestSpanNestingPerGoroutine(t *testing.T) {
 func TestSpanAttrs(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Start("op")
-	sp.SetAttr("key", "value")
+	sp.SetStr("key", "value")
 	sp.End()
+	plain := tr.Start("plain")
+	plain.End()
 	recent := tr.Recent()
-	if len(recent) != 1 || recent[0].Attrs["key"] != "value" {
+	if len(recent) != 2 || recent[0].Key != "key" || recent[0].Value != "value" {
 		t.Fatalf("attr not recorded: %+v", recent)
+	}
+	if recent[1].Key != "" || recent[1].Value != "" {
+		t.Fatalf("span without an attribute recorded one: %+v", recent[1])
+	}
+}
+
+// TestSpanPairAllocs pins the allocations of an enabled tracer's root and
+// child span pair, each with a string attribute: the attribute is stored
+// inline, so only the open-span stack's own growth allocates.
+func TestSpanPairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race CI leg")
+	}
+	tr := NewTracer()
+	dyn := strings.Repeat("op", 2) // non-constant: boxing it would allocate
+	allocs := testing.AllocsPerRun(200, func() {
+		root := tr.Start("root")
+		root.SetStr("event", dyn)
+		child := tr.Start("child")
+		child.SetStr("op", dyn)
+		child.End()
+		root.End()
+	})
+	if allocs > 2 {
+		t.Errorf("root+child span pair: %v allocs per run, want <= 2", allocs)
 	}
 }
 
@@ -175,13 +202,8 @@ func TestNopFastPathAllocs(t *testing.T) {
 	dyn := strings.Repeat("op", 2) // non-constant: boxing it would allocate
 	cases := map[string]func(){
 		"tracer-span": func() {
-			sp := tr.Start("x")
-			sp.SetAttr("k", 1)
-			sp.End()
+			tr.Start("x").End()
 		},
-		// Hot paths attach string attributes through SetStr, whose
-		// signature avoids the caller-side interface boxing SetAttr
-		// would force even on a disabled span.
 		"tracer-span-str": func() {
 			sp := tr.Start("x")
 			sp.SetStr("op", dyn)

@@ -441,6 +441,86 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotValueRestoresLikeBytes restores one captured snapshot that
+// carries a dead letter and a tripped breaker twice — from the value and
+// through Encode and Restore — drives both copies alike and requires
+// equivalent end states and identical adapter traces.
+func TestSnapshotValueRestoresLikeBytes(t *testing.T) {
+	res := chaosResilience()
+	res.Breaker.Cooldown = time.Hour // stays open for the whole test
+	deps := func(r *rec) Deps {
+		d := chaosDeps(t, r, obs.NewMetrics(), nil)
+		d.Resilience = res
+		return d
+	}
+	p, err := Build(fullModel(t), deps(&rec{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := p.UI.NewDraft()
+	d.MustAdd("s1", "Session").SetRef("streams", "st1")
+	d.MustAdd("st1", "Stream").SetAttr("media", "audio")
+	if _, err := d.Submit(); err != nil {
+		t.Fatal(err)
+	}
+	p.Broker.State().Set("calls", 3)
+	p.Controller.Context().Set("memoryLow", true)
+	p.Broker.TripBreaker("svcCreate")
+	p.dlq.add(DeadLetter{
+		Event:    broker.Event{Name: "streamFailed", Attrs: map[string]any{"stream": "st1", "try": 1}},
+		Reason:   "resource down",
+		Attempts: 2,
+	})
+	snap := p.Quiesce()
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fromValue, fromBytes := &rec{}, &rec{}
+	pv, err := RestoreSnapshot(snap, deps(fromValue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := Restore(data, deps(fromBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends [][]byte
+	for _, q := range []*Platform{pv, pb} {
+		if open := q.Broker.OpenBreakers(); len(open) != 1 || open[0] != "svcCreate" {
+			t.Fatalf("restored open breakers = %v, want [svcCreate]", open)
+		}
+		if dls := q.DeadLetters(); len(dls) != 1 || dls[0].Attempts != 2 {
+			t.Fatalf("restored dead letters = %+v", dls)
+		}
+		e := q.UI.EditDraft()
+		e.MustAdd("st2", "Stream").SetAttr("media", "video")
+		e.Object("s1").AddRef("streams", "st2")
+		if _, err := e.Submit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.DeliverEvent(broker.Event{Name: "streamFailed", Attrs: map[string]any{"stream": "st2"}}); err != nil {
+			t.Fatal(err)
+		}
+		if rd, rq := q.Redeliver(); rd != 1 || rq != 0 {
+			t.Fatalf("Redeliver = (%d, %d), want (1, 0)", rd, rq)
+		}
+		end, err := q.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, end)
+	}
+	if same, err := SnapshotsEquivalent(ends[0], ends[1]); err != nil || !same {
+		t.Fatalf("end states differ (err %v):\nvalue: %s\nbytes: %s", err, ends[0], ends[1])
+	}
+	a, b := fromValue.lines(), fromBytes.lines()
+	if len(a) == 0 || strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("adapter traces differ:\nvalue: %q\nbytes: %q", a, b)
+	}
+}
+
 // TestRestoreRejectsBadSnapshots pins the decoder's error paths (the fuzz
 // target's deterministic cousins).
 func TestRestoreRejectsBadSnapshots(t *testing.T) {

@@ -4,13 +4,17 @@
 // Synthesis layer, the Broker's resource state and policy context, the
 // Controller's context and stats, the open circuit breakers and the parked
 // dead letters — everything needed to regenerate an equivalent platform
-// after a crash. Restore rebuilds the platform through the same factory
-// path as Build (the snapshot's models are re-validated, not trusted) and
-// then reinstates the serialised state on top.
+// after a crash. Capture takes that state as a Snapshot value; Checkpoint
+// is Capture plus Encode and Restore is DecodeSnapshot plus
+// RestoreSnapshot, the one reinstatement path. It rebuilds the platform
+// through the same factory path as Build (the snapshot's models are
+// re-validated, not trusted) and then reinstates the captured state on
+// top.
 //
-// The format is versioned JSON; Restore rejects snapshots whose version it
-// does not understand. JSON normalises all numbers to float64, which the
-// expression engine and policy contexts already accept.
+// The format is versioned JSON; DecodeSnapshot rejects snapshots whose
+// version it does not understand. JSON normalises all numbers to float64,
+// which the expression engine and policy contexts already accept; a
+// Snapshot restored in process keeps its values' Go types.
 
 package runtime
 
@@ -69,73 +73,153 @@ type deadLetterSnapshot struct {
 	Attempts int            `json:"attempts"`
 }
 
-// Checkpoint serialises the platform's running state to a versioned JSON
-// snapshot. It is safe on a running platform (each layer is snapshotted
-// under its own lock), but a checkpoint taken mid-flight observes whatever
-// delivery boundary it lands on; quiesce first for an exact cut. Context
-// and state values must be JSON-serialisable.
-func (p *Platform) Checkpoint() ([]byte, error) {
-	mw, err := metamodel.MarshalModel(p.model)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: checkpoint %s: middleware model: %w", p.Name, err)
-	}
-	doc := snapshotDoc{
-		Version:    SnapshotVersion,
-		Name:       p.Name,
-		Domain:     p.Domain,
-		Middleware: mw,
-		Broker: &brokerSnapshot{
+// Snapshot is a decoded checkpoint: exactly the state Checkpoint
+// serialises, held as values. Its middleware and application models are
+// the platform's own validated and committed models — immutable and
+// shared, never copied — and its maps are copies, so a Snapshot outlives
+// the platform it was captured from and may be restored any number of
+// times. Hosts that park a platform in process (serve's eviction) keep the
+// Snapshot and encode it only where bytes leave the process.
+type Snapshot struct {
+	name, domain string
+	middleware   *metamodel.Model
+	synthesis    *synthState
+	controller   *controllerSnapshot
+	broker       *brokerSnapshot
+	deadLetters  []deadLetterSnapshot
+}
+
+// synthState is the Synthesis layer's part of a Snapshot.
+type synthState struct {
+	app      *metamodel.Model
+	seq      int
+	ltsState string
+}
+
+// Capture takes the platform's running state as a Snapshot. Like
+// Checkpoint it is safe on a running platform but observes whatever
+// delivery boundary it lands on; Quiesce captures an exact cut.
+func (p *Platform) Capture() *Snapshot {
+	s := &Snapshot{
+		name:       p.Name,
+		domain:     p.Domain,
+		middleware: p.model,
+		broker: &brokerSnapshot{
 			State:        p.Broker.State().Snapshot(),
 			Context:      p.Broker.Context().Snapshot(),
 			OpenBreakers: p.Broker.OpenBreakers(),
 		},
 	}
 	if p.Controller != nil {
-		doc.Controller = &controllerSnapshot{
+		s.controller = &controllerSnapshot{
 			Context: p.Controller.Context().Snapshot(),
 			Stats:   p.Controller.Stats(),
 		}
 	}
 	if p.Synthesis != nil {
-		app, err := metamodel.MarshalModel(p.Synthesis.Committed())
-		if err != nil {
-			return nil, fmt.Errorf("runtime: checkpoint %s: application model: %w", p.Name, err)
-		}
-		doc.Synthesis = &synthSnapshot{
-			AppModel: app,
-			Seq:      p.Synthesis.Seq(),
-			LTSState: p.Synthesis.State(),
+		s.synthesis = &synthState{
+			app:      p.Synthesis.Committed(),
+			seq:      p.Synthesis.Seq(),
+			ltsState: p.Synthesis.State(),
 		}
 	}
 	for _, dl := range p.dlq.snapshot() {
-		doc.DeadLetter = append(doc.DeadLetter, deadLetterSnapshot{
+		s.deadLetters = append(s.deadLetters, deadLetterSnapshot{
 			Event:    dl.Event.Name,
-			Attrs:    dl.Event.Attrs,
+			Attrs:    dl.Event.Copy().Attrs,
 			Reason:   dl.Reason,
 			Attempts: dl.Attempts,
 		})
 	}
+	return s
+}
+
+// Encode serialises the snapshot to the versioned JSON format. Context and
+// state values must be JSON-serialisable.
+func (s *Snapshot) Encode() ([]byte, error) {
+	mw, err := metamodel.MarshalModel(s.middleware)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: checkpoint %s: middleware model: %w", s.name, err)
+	}
+	doc := snapshotDoc{
+		Version:    SnapshotVersion,
+		Name:       s.name,
+		Domain:     s.domain,
+		Middleware: mw,
+		Controller: s.controller,
+		Broker:     s.broker,
+		DeadLetter: s.deadLetters,
+	}
+	if s.synthesis != nil {
+		app, err := metamodel.MarshalModel(s.synthesis.app)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: checkpoint %s: application model: %w", s.name, err)
+		}
+		doc.Synthesis = &synthSnapshot{
+			AppModel: app,
+			Seq:      s.synthesis.seq,
+			LTSState: s.synthesis.ltsState,
+		}
+	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("runtime: checkpoint %s: %w", p.Name, err)
+		return nil, fmt.Errorf("runtime: checkpoint %s: %w", s.name, err)
 	}
 	return out, nil
 }
 
-// Quiesce stops the platform (draining the pump with exact accounting)
-// and takes a checkpoint of the settled state: the exact cut that
-// eviction, replication and live migration transfer. On checkpoint failure
-// the platform is restarted so the caller is never left with a silently
-// stopped tenant. After a successful Quiesce the platform stays stopped;
-// restart it with Start or discard it.
-func (p *Platform) Quiesce() ([]byte, error) {
-	p.Stop()
-	snap, err := p.Checkpoint()
-	if err != nil {
-		p.Start()
-		return nil, fmt.Errorf("runtime: quiesce %s: %w", p.Name, err)
+// DecodeSnapshot parses a Checkpoint snapshot, refusing malformed JSON, an
+// unknown version, a missing middleware model and models that do not
+// parse. Conformance is checked when the snapshot is restored.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	var doc snapshotDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("runtime: restore: malformed snapshot: %w", err)
 	}
-	return snap, nil
+	if doc.Version != SnapshotVersion {
+		return nil, fmt.Errorf("runtime: restore: snapshot version %d, want %d", doc.Version, SnapshotVersion)
+	}
+	if len(doc.Middleware) == 0 {
+		return nil, fmt.Errorf("runtime: restore: snapshot has no middleware model")
+	}
+	mw, err := metamodel.UnmarshalModel(doc.Middleware)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: restore: middleware model: %w", err)
+	}
+	s := &Snapshot{
+		name:        doc.Name,
+		domain:      doc.Domain,
+		middleware:  mw,
+		controller:  doc.Controller,
+		broker:      doc.Broker,
+		deadLetters: doc.DeadLetter,
+	}
+	if doc.Synthesis != nil {
+		app, err := metamodel.UnmarshalModel(doc.Synthesis.AppModel)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: restore: application model: %w", err)
+		}
+		s.synthesis = &synthState{app: app, seq: doc.Synthesis.Seq, ltsState: doc.Synthesis.LTSState}
+	}
+	return s, nil
+}
+
+// Checkpoint serialises the platform's running state to a versioned JSON
+// snapshot: Capture, then Encode. It is safe on a running platform (each
+// layer is snapshotted under its own lock), but a checkpoint taken
+// mid-flight observes whatever delivery boundary it lands on; quiesce
+// first for an exact cut.
+func (p *Platform) Checkpoint() ([]byte, error) {
+	return p.Capture().Encode()
+}
+
+// Quiesce stops the platform (draining the pump with exact accounting)
+// and captures the settled state: the exact cut that eviction,
+// replication and live migration transfer. The platform stays stopped;
+// restart it with Start or discard it.
+func (p *Platform) Quiesce() *Snapshot {
+	p.Stop()
+	return p.Capture()
 }
 
 // SnapshotsEquivalent reports whether two Checkpoint snapshots describe
@@ -167,66 +251,59 @@ func SnapshotsEquivalent(a, b []byte) (bool, error) {
 	return string(ca) == string(cb), nil
 }
 
-// Restore rebuilds a platform from a Checkpoint snapshot: the snapshot's
-// middleware model is re-validated and run through the same factory as
-// Build (bound to the given DSK deps), then the checkpointed layer state is
-// reinstated — committed application model, LTS position, contexts,
-// resource state, open breakers and dead letters. The restored platform is
-// not started; call Start (and Monitor) as after Build.
+// Restore rebuilds a platform from Checkpoint bytes: DecodeSnapshot,
+// then RestoreSnapshot.
 func Restore(data []byte, deps Deps, opts ...Option) (*Platform, error) {
-	var doc snapshotDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("runtime: restore: malformed snapshot: %w", err)
-	}
-	if doc.Version != SnapshotVersion {
-		return nil, fmt.Errorf("runtime: restore: snapshot version %d, want %d", doc.Version, SnapshotVersion)
-	}
-	if len(doc.Middleware) == 0 {
-		return nil, fmt.Errorf("runtime: restore: snapshot has no middleware model")
-	}
-	mw, err := metamodel.UnmarshalModel(doc.Middleware)
+	s, err := DecodeSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: restore: middleware model: %w", err)
+		return nil, err
 	}
-	p, err := Build(mw, deps, opts...)
+	return RestoreSnapshot(s, deps, opts...)
+}
+
+// RestoreSnapshot rebuilds a platform from a Snapshot: the snapshot's
+// middleware model is re-validated and run through the same factory as
+// Build (bound to the given DSK deps), then the captured layer state is
+// reinstated — committed application model (re-validated too), LTS
+// position, contexts, resource state, open breakers and dead letters. The
+// snapshot itself is left untouched. The restored platform is not
+// started; call Start (and Monitor) as after Build.
+func RestoreSnapshot(s *Snapshot, deps Deps, opts ...Option) (*Platform, error) {
+	p, err := Build(s.middleware, deps, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}
-	if doc.Broker != nil {
-		for k, v := range doc.Broker.State {
+	if b := s.broker; b != nil {
+		for k, v := range b.State {
 			p.Broker.State().Set(k, v)
 		}
-		for k, v := range doc.Broker.Context {
+		for k, v := range b.Context {
 			p.Broker.Context().Set(k, v)
 		}
-		for _, op := range doc.Broker.OpenBreakers {
+		for _, op := range b.OpenBreakers {
 			p.Broker.TripBreaker(op)
 		}
 	}
-	if doc.Controller != nil {
+	if c := s.controller; c != nil {
 		if p.Controller == nil {
 			return nil, fmt.Errorf("runtime: restore: snapshot has Controller state but the middleware model declares no ControllerLayer")
 		}
-		for k, v := range doc.Controller.Context {
+		for k, v := range c.Context {
 			p.Controller.Context().Set(k, v)
 		}
-		p.Controller.RestoreStats(doc.Controller.Stats)
+		p.Controller.RestoreStats(c.Stats)
 	}
-	if doc.Synthesis != nil {
+	if syn := s.synthesis; syn != nil {
 		if p.Synthesis == nil {
 			return nil, fmt.Errorf("runtime: restore: snapshot has Synthesis state but the middleware model declares no SynthesisLayer")
 		}
-		app, err := metamodel.UnmarshalModel(doc.Synthesis.AppModel)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: restore: application model: %w", err)
-		}
-		if err := p.Synthesis.RestoreState(app, doc.Synthesis.Seq, doc.Synthesis.LTSState); err != nil {
+		if err := p.Synthesis.RestoreState(syn.app, syn.seq, syn.ltsState); err != nil {
 			return nil, fmt.Errorf("runtime: restore: %w", err)
 		}
 	}
-	for _, dl := range doc.DeadLetter {
+	for _, dl := range s.deadLetters {
 		if p.dlq.add(DeadLetter{
-			Event:    broker.Event{Name: dl.Event, Attrs: dl.Attrs},
+			Event:    broker.Event{Name: dl.Event, Attrs: dl.Attrs}.Copy(),
 			Reason:   dl.Reason,
 			Attempts: dl.Attempts,
 		}) {

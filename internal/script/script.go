@@ -267,15 +267,33 @@ func parseValue(text string) any {
 	return text
 }
 
+// TraceCap bounds the lines a Trace keeps. Resources record every command
+// they execute for as long as they run, so past the cap each new line
+// replaces the oldest, and the dropped lines are counted instead of kept.
+const TraceCap = 4096
+
 // Trace is a recorded sequence of executed commands in canonical form. The
 // behavioural-equivalence experiment compares traces of the model-based and
-// handcrafted Broker implementations.
+// handcrafted Broker implementations. It keeps the most recent TraceCap
+// lines and counts the ones it dropped.
 type Trace struct {
-	lines []string
+	lines   []string // the kept lines, a ring once TraceCap long
+	start   int      // index of the oldest kept line in the ring
+	dropped int      // recorded lines the ring no longer keeps
 }
 
-// Record appends a command to the trace.
-func (t *Trace) Record(c Command) { t.lines = append(t.lines, c.String()) }
+// Record appends a command to the trace, dropping the oldest kept line
+// once the trace holds TraceCap.
+func (t *Trace) Record(c Command) {
+	line := c.String()
+	if len(t.lines) < TraceCap {
+		t.lines = append(t.lines, line)
+		return
+	}
+	t.lines[t.start] = line
+	t.start = (t.start + 1) % TraceCap
+	t.dropped++
+}
 
 // RecordOp is a convenience that records an op/target pair with arguments
 // given as alternating key, value pairs.
@@ -291,54 +309,61 @@ func (t *Trace) RecordOp(op, target string, kv ...any) {
 	t.Record(c)
 }
 
-// Len returns the number of recorded commands.
-func (t *Trace) Len() int { return len(t.lines) }
+// Len returns the number of recorded commands, dropped ones included.
+func (t *Trace) Len() int { return t.dropped + len(t.lines) }
+
+// Dropped returns how many of the oldest recorded commands the trace no
+// longer keeps.
+func (t *Trace) Dropped() int { return t.dropped }
 
 // Reset discards the recorded commands, keeping the capacity. Long-running
 // measurements reset between iterations so trace growth does not skew
 // timings.
-func (t *Trace) Reset() { t.lines = t.lines[:0] }
+func (t *Trace) Reset() { t.lines, t.start, t.dropped = t.lines[:0], 0, 0 }
 
-// Lines returns a copy of the canonical command lines.
-func (t *Trace) Lines() []string { return append([]string(nil), t.lines...) }
-
-// String joins the trace lines.
-func (t *Trace) String() string { return strings.Join(t.lines, "\n") }
-
-// Equal reports whether two traces recorded identical command sequences.
-func (t *Trace) Equal(other *Trace) bool {
-	if len(t.lines) != len(other.lines) {
-		return false
-	}
-	for i := range t.lines {
-		if t.lines[i] != other.lines[i] {
-			return false
-		}
-	}
-	return true
+// Lines returns a copy of the kept command lines, oldest first.
+func (t *Trace) Lines() []string {
+	return append(append([]string(nil), t.lines[t.start:]...), t.lines[:t.start]...)
 }
 
-// FirstDiff returns the index and the two lines of the first difference, or
-// -1 when the traces are equal. Useful in test failure messages.
+// String joins the kept lines, after a first line counting the dropped
+// ones if there are any.
+func (t *Trace) String() string {
+	lines := t.Lines()
+	if t.dropped > 0 {
+		lines = append([]string{fmt.Sprintf("... %d earlier commands dropped", t.dropped)}, lines...)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// Equal reports whether two traces recorded identical command sequences.
+// Traces that dropped lines are equal when they dropped as many and keep
+// identical lines.
+func (t *Trace) Equal(other *Trace) bool {
+	i, _, _ := t.FirstDiff(other)
+	return i < 0
+}
+
+// FirstDiff returns the index (counted from the first recorded command)
+// and the two lines of the first difference, or -1 when the traces are
+// equal. A line one trace dropped reads "<dropped>", one past its end
+// "<end>". Useful in test failure messages.
 func (t *Trace) FirstDiff(other *Trace) (int, string, string) {
-	n := len(t.lines)
-	if len(other.lines) < n {
-		n = len(other.lines)
-	}
-	for i := 0; i < n; i++ {
-		if t.lines[i] != other.lines[i] {
-			return i, t.lines[i], other.lines[i]
+	for i := min(t.dropped, other.dropped); i < max(t.Len(), other.Len()); i++ {
+		if a, b := t.line(i), other.line(i); a != b {
+			return i, a, b
 		}
-	}
-	if len(t.lines) != len(other.lines) {
-		a, b := "<end>", "<end>"
-		if n < len(t.lines) {
-			a = t.lines[n]
-		}
-		if n < len(other.lines) {
-			b = other.lines[n]
-		}
-		return n, a, b
 	}
 	return -1, "", ""
+}
+
+// line returns the i-th recorded command, counted from the first one.
+func (t *Trace) line(i int) string {
+	switch {
+	case i < t.dropped:
+		return "<dropped>"
+	case i >= t.Len():
+		return "<end>"
+	}
+	return t.lines[(t.start+i-t.dropped)%len(t.lines)]
 }

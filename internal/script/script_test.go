@@ -1,6 +1,7 @@
 package script
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -245,5 +246,42 @@ func TestTraceReset(t *testing.T) {
 	tr.RecordOp("b", "t")
 	if tr.Len() != 1 || tr.Lines()[0] != "b t" {
 		t.Errorf("record after reset: %v", tr.Lines())
+	}
+}
+
+// TestTraceRingBounded records ten times the cap: the trace keeps the last
+// TraceCap lines and counts the rest, so Len, String, Equal and FirstDiff
+// still describe the whole recording.
+func TestTraceRingBounded(t *testing.T) {
+	var a, b Trace
+	const n = 10 * TraceCap
+	for i := 0; i < n; i++ {
+		a.RecordOp("send", "d1", "n", i)
+		b.RecordOp("send", "d1", "n", i)
+	}
+	if a.Len() != n || a.Dropped() != n-TraceCap {
+		t.Fatalf("Len = %d, Dropped = %d; want %d, %d", a.Len(), a.Dropped(), n, n-TraceCap)
+	}
+	lines := a.Lines()
+	if len(lines) != TraceCap || lines[0] != fmt.Sprintf("send d1 n=%d", n-TraceCap) || lines[TraceCap-1] != fmt.Sprintf("send d1 n=%d", n-1) {
+		t.Fatalf("kept %d lines, first %q, last %q", len(lines), lines[0], lines[len(lines)-1])
+	}
+	if first, _, _ := strings.Cut(a.String(), "\n"); first != fmt.Sprintf("... %d earlier commands dropped", n-TraceCap) {
+		t.Fatalf("String starts %q", first)
+	}
+	if !a.Equal(&b) {
+		t.Fatal("identical long traces must be equal")
+	}
+	b.RecordOp("close", "d1")
+	if i, x, y := a.FirstDiff(&b); i != n-TraceCap || y != "<dropped>" || x == y {
+		t.Fatalf("dropped counts differ: FirstDiff = %d %q %q", i, x, y)
+	}
+	a.RecordOp("open", "d1")
+	if i, x, y := a.FirstDiff(&b); i != n || x != "open d1" || y != "close d1" {
+		t.Fatalf("FirstDiff = %d %q %q, want %d", i, x, y, n)
+	}
+	a.Reset()
+	if a.Len() != 0 || a.Dropped() != 0 || a.String() != "" {
+		t.Fatalf("after Reset: Len %d, Dropped %d, String %q", a.Len(), a.Dropped(), a.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mddsm/mddsm/internal/obs"
+	"github.com/mddsm/mddsm/internal/runtime"
 )
 
 // ExportedTenant is everything a peer needs to adopt a tenant: which
@@ -20,7 +21,7 @@ type ExportedTenant struct {
 // package a peer adopts. The returned ledger folds in anything the tenant
 // carried from previous homes, so ledgers never double-count across a
 // chain of migrations. A parked tenant exports its parked checkpoint
-// as-is (it is already a quiesced cut).
+// (it is already a quiesced cut).
 func (s *Server) Export(name string) (ExportedTenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -29,19 +30,24 @@ func (s *Server) Export(name string) (ExportedTenant, error) {
 	}
 	var (
 		bundle string
-		snap   []byte
+		snap   *runtime.Snapshot
 	)
-	if t, ok := s.tenants[name]; ok {
-		var err error
-		snap, err = t.quiesce()
-		if err != nil {
-			return ExportedTenant{}, fmt.Errorf("serve: export %s: %w", name, err)
-		}
-		bundle = t.bundle
+	t, live := s.tenants[name]
+	if live {
+		bundle, snap = t.bundle, t.quiesce()
 	} else if p, ok := s.parked[name]; ok {
 		bundle, snap = p.bundle, p.snapshot
 	} else {
 		return ExportedTenant{}, fmt.Errorf("serve: %w %q", ErrNoTenant, name)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		if live {
+			// Resume the tenant instead of stranding it stopped.
+			t.inst.Platform.Start()
+			t.ops.Unlock()
+		}
+		return ExportedTenant{}, fmt.Errorf("serve: export %s: %w", name, err)
 	}
 	ledger, err := s.accountingLocked(name)
 	if err != nil {
@@ -52,12 +58,13 @@ func (s *Server) Export(name string) (ExportedTenant, error) {
 	delete(s.carried, name)
 	s.gResident.Set(int64(len(s.tenants)))
 	s.gParked.Set(int64(len(s.parked)))
-	return ExportedTenant{Bundle: bundle, Snapshot: snap, Ledger: ledger}, nil
+	return ExportedTenant{Bundle: bundle, Snapshot: data, Ledger: ledger}, nil
 }
 
 // Adopt installs an exported tenant on this server. The checkpoint is
-// parked, not restored — the first frame naming the tenant rehydrates it
-// through domains.Restore, so adoption is cheap and mass failover does not
+// decoded and parked, not restored — a malformed one is refused here, and
+// the first frame naming the tenant rehydrates it through
+// domains.RestoreSnapshot, so adoption is cheap and mass failover does not
 // stampede the target. The carried ledger is recorded and folded into the
 // tenant's Accounting from now on.
 func (s *Server) Adopt(name string, exp ExportedTenant) error {
@@ -66,6 +73,10 @@ func (s *Server) Adopt(name string, exp ExportedTenant) error {
 	}
 	if exp.Bundle == "" {
 		return fmt.Errorf("serve: adopt %s: bundle must not be empty", name)
+	}
+	snap, err := runtime.DecodeSnapshot(exp.Snapshot)
+	if err != nil {
+		return fmt.Errorf("serve: adopt %s: %w", name, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,7 +89,7 @@ func (s *Server) Adopt(name string, exp ExportedTenant) error {
 	if _, ok := s.parked[name]; ok {
 		return fmt.Errorf("serve: tenant %q exists (parked)", name)
 	}
-	s.parked[name] = &parked{bundle: exp.Bundle, snapshot: exp.Snapshot}
+	s.parked[name] = &parked{bundle: exp.Bundle, snapshot: snap}
 	s.carried[name] = exp.Ledger
 	s.gParked.Set(int64(len(s.parked)))
 	return nil
@@ -109,9 +120,11 @@ func (s *Server) Replica(name string) (ExportedTenant, error) {
 	if err != nil {
 		return ExportedTenant{}, err
 	}
-	snap := make([]byte, len(p.snapshot))
-	copy(snap, p.snapshot)
-	return ExportedTenant{Bundle: p.bundle, Snapshot: snap, Ledger: ledger}, nil
+	data, err := p.snapshot.Encode()
+	if err != nil {
+		return ExportedTenant{}, fmt.Errorf("serve: replica %s: %w", name, err)
+	}
+	return ExportedTenant{Bundle: p.bundle, Snapshot: data, Ledger: ledger}, nil
 }
 
 // Forget drops a tenant without exporting it: a resident platform is

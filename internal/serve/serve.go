@@ -10,9 +10,10 @@
 // the first tenant compiled.
 //
 // Residency is bounded: past Config.MaxResident live platforms, the
-// least-recently-touched tenant is evicted — checkpointed through the
-// runtime's snapshot format, stopped, and parked as bytes. The next frame
-// naming an evicted tenant rehydrates it through domains.Restore before
+// least-recently-touched tenant is evicted — stopped and parked as the
+// runtime's decoded checkpoint (a runtime.Snapshot), which is encoded to
+// bytes only where it leaves the process. The next frame naming an
+// evicted tenant rehydrates it through domains.RestoreSnapshot before
 // routing, so eviction is invisible to clients beyond latency. Event
 // intake is quota'd per tenant by a token bucket (Quota.EventRate /
 // EventBurst) in front of the pump's own bounded queues; a throttled or
@@ -143,14 +144,14 @@ type tenant struct {
 	ops sync.RWMutex
 }
 
-// parked is one evicted tenant: its platform state as a checkpoint, plus
-// the tenant's obs bundle so per-tenant counters survive the park —
-// rehydration continues the same accounting stream instead of resetting
-// it, which is what lets the soak harness assert exact per-tenant
-// accounting across arbitrary evict/rehydrate churn.
+// parked is one evicted tenant: its platform state as a decoded
+// checkpoint, plus the tenant's obs bundle so per-tenant counters survive
+// the park — rehydration continues the same accounting stream instead of
+// resetting it, which is what lets the soak harness assert exact
+// per-tenant accounting across arbitrary evict/rehydrate churn.
 type parked struct {
 	bundle   string
-	snapshot []byte
+	snapshot *runtime.Snapshot
 	obs      *obs.Obs
 }
 
@@ -280,19 +281,14 @@ func (s *Server) makeRoomLocked() error {
 	return nil
 }
 
-// evictLocked checkpoints, stops and parks one resident tenant. s.mu must
-// be held.
+// evictLocked stops and parks one resident tenant. s.mu must be held.
 func (s *Server) evictLocked(name string) error {
 	t, ok := s.tenants[name]
 	if !ok {
 		return fmt.Errorf("serve: tenant %q not resident", name)
 	}
-	snap, err := t.quiesce()
-	if err != nil {
-		return fmt.Errorf("serve: evict %s: %w", name, err)
-	}
 	delete(s.tenants, name)
-	s.parked[name] = &parked{bundle: t.bundle, snapshot: snap, obs: t.obs}
+	s.parked[name] = &parked{bundle: t.bundle, snapshot: t.quiesce(), obs: t.obs}
 	s.mEvictions.Inc()
 	s.gResident.Set(int64(len(s.tenants)))
 	s.gParked.Set(int64(len(s.parked)))
@@ -300,18 +296,11 @@ func (s *Server) evictLocked(name string) error {
 }
 
 // quiesce waits for the tenant's in-flight operations, then stops its
-// platform with drain (exact accounting) and checkpoints the settled
-// state. On success the platform is retired and the exclusive hold is
-// never released. On checkpoint failure Quiesce restarts the platform, so
-// the tenant is never stranded half-stopped, and operations resume.
-func (t *tenant) quiesce() ([]byte, error) {
+// platform with drain (exact accounting) and captures the settled state.
+// The platform is retired: the exclusive hold is never released.
+func (t *tenant) quiesce() *runtime.Snapshot {
 	t.ops.Lock()
-	snap, err := t.inst.Platform.Quiesce()
-	if err != nil {
-		t.ops.Unlock()
-		return nil, err
-	}
-	return snap, nil
+	return t.inst.Platform.Quiesce()
 }
 
 // Evict forces one tenant out of residency (checkpoint → stop → park).
@@ -364,7 +353,7 @@ func (s *Server) residentLocked(name string) (*tenant, error) {
 	if to == nil {
 		to = obs.New()
 	}
-	inst, err := domains.Restore(p.bundle, p.snapshot, s.tenantConfig(to))
+	inst, err := domains.RestoreSnapshot(p.bundle, p.snapshot, s.tenantConfig(to))
 	if err != nil {
 		return nil, fmt.Errorf("serve: rehydrate %s: %w", name, err)
 	}
@@ -435,21 +424,21 @@ func (s *Server) SubmitModel(name string, m *metamodel.Model) (*script.Script, e
 }
 
 // Snapshot returns the tenant's current models@runtime checkpoint —
-// live from the platform when resident, the parked bytes when evicted.
+// live from the platform when resident, the parked checkpoint encoded
+// when evicted.
 func (s *Server) Snapshot(name string) ([]byte, error) {
 	s.mu.Lock()
-	if p, ok := s.parked[name]; ok {
-		snap := make([]byte, len(p.snapshot))
-		copy(snap, p.snapshot)
-		s.mu.Unlock()
-		return snap, nil
-	}
-	t, ok := s.tenants[name]
+	p, sleeping := s.parked[name]
+	t, live := s.tenants[name]
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case sleeping:
+		return p.snapshot.Encode()
+	case live:
+		return t.inst.Platform.Checkpoint()
+	default:
 		return nil, fmt.Errorf("serve: %w %q", ErrNoTenant, name)
 	}
-	return t.inst.Platform.Checkpoint()
 }
 
 // ModelObserver receives the application models tenants' Synthesis layers
@@ -594,7 +583,8 @@ func (s *Server) Health() map[string]string {
 // Stat describes one tenant: bundle, residency, and its platform's event
 // accounting. Counters are reported for parked tenants too — the obs
 // bundle is parked with the snapshot, so the numbers cover the tenant's
-// whole life, not just the current residency.
+// whole life, not just the current residency. A parked tenant also
+// reports the size of its encoded checkpoint.
 func (s *Server) Stat(name string) (map[string]any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -608,7 +598,11 @@ func (s *Server) Stat(name string) (map[string]any, error) {
 		"deadlettered": a.DeadLettered, "dropped": a.Dropped, "rejected": a.Rejected,
 	}
 	if p, ok := s.parked[name]; ok {
-		st["snapshotBytes"] = len(p.snapshot)
+		data, err := p.snapshot.Encode()
+		if err != nil {
+			return nil, err
+		}
+		st["snapshotBytes"] = len(data)
 	}
 	return st, nil
 }

@@ -1,21 +1,16 @@
 // Command mddsm-bench regenerates the paper's evaluation results (§VII)
 // as printed reports. Without flags it runs every experiment; -e selects
-// one (e1..e6, "pump" for the sharded event-pump throughput report,
-// "validate" for the compiled-vs-interpreted conformance comparison,
-// "serve" for the multi-tenant capacity ladder, "mixed" for the
-// heterogeneous mixed-workload soak over generated synthetic domains, or
-// "cluster" for the multi-node broker ladder: cross-node delivery,
-// live migration, and node-kill failover at 2/3/5 nodes, or "http" for
-// the models-over-HTTP REST/SSE write ladder).
+// one (e1..e6, "mixed" for the heterogeneous mixed-workload soak over
+// generated synthetic domains, or "cluster" for the multi-node broker
+// ladder: cross-node delivery, live migration, and node-kill failover at
+// 2/3/5 nodes). The serving paths' performance is measured by the system
+// benchmark in sysbench/.
 //
 // Usage:
 //
-//	mddsm-bench [-e e1|e2|e3|e4|e5|e6|pump|validate|serve|mixed|cluster|http] [-iters N] [-root DIR]
-//	mddsm-bench -e validate -json BENCH_validate.json
+//	mddsm-bench [-e e1|e2|e3|e4|e5|e6|mixed|cluster] [-iters N] [-root DIR]
 //	mddsm-bench -e mixed -json BENCH_mixed.json
-//	mddsm-bench -e pump -json BENCH_pump.json
 //	mddsm-bench -e cluster -json BENCH_cluster.json
-//	mddsm-bench -e http -json BENCH_http.json
 package main
 
 import (
@@ -36,15 +31,12 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("mddsm-bench", flag.ContinueOnError)
-	exp := fs.String("e", "", "experiment to run (e1..e6, pump, validate, serve, mixed, cluster, http); empty runs all")
+	exp := fs.String("e", "", "experiment to run (e1..e6, mixed, cluster); empty runs all")
 	iters := fs.Int("iters", 50, "iterations per scenario for timing experiments (e2)")
-	root := fs.String("root", "", "repository root for source-size accounting (e5) and bundled models (validate); auto-detected when empty")
-	jsonOut := fs.String("json", "", `with -e validate/serve/mixed/pump/cluster/http: write the machine-readable report to this path (e.g. BENCH_pump.json)`)
+	root := fs.String("root", "", "repository root for source-size accounting (e5); auto-detected when empty")
+	jsonOut := fs.String("json", "", `with -e mixed or cluster: write the machine-readable report to this path (e.g. BENCH_mixed.json)`)
 	common := cliutil.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := common.ApplyValidationMode(); err != nil {
 		return err
 	}
 
@@ -58,16 +50,6 @@ func run(args []string) error {
 	if common.Obs {
 		return experiments.ReportObs(w)
 	}
-	repoRoot := func(why string) (string, error) {
-		if *root != "" {
-			return *root, nil
-		}
-		dir, err := experiments.FindRepoRoot(".")
-		if err != nil {
-			return "", fmt.Errorf("%s; pass -root: %w", why, err)
-		}
-		return dir, nil
-	}
 
 	all := map[string]func() error{
 		"e1": func() error { return experiments.ReportE1(w) },
@@ -75,34 +57,27 @@ func run(args []string) error {
 		"e3": func() error { return experiments.ReportE3(w) },
 		"e4": func() error { return experiments.ReportE4(w) },
 		"e5": func() error {
-			dir, err := repoRoot("e5 needs the repository sources")
-			if err != nil {
-				return err
+			dir := *root
+			if dir == "" {
+				var err error
+				if dir, err = experiments.FindRepoRoot("."); err != nil {
+					return fmt.Errorf("e5 needs the repository sources; pass -root: %w", err)
+				}
 			}
 			return experiments.ReportE5(w, dir)
 		},
 		"e6":      func() error { return experiments.ReportE6(w) },
-		"pump":    func() error { return experiments.ReportPump(w, *jsonOut) },
-		"serve":   func() error { return experiments.ReportServe(w, *jsonOut) },
 		"mixed":   func() error { return experiments.ReportMixed(w, *jsonOut) },
 		"cluster": func() error { return experiments.ReportCluster(w, *jsonOut) },
-		"http":    func() error { return experiments.ReportHTTP(w, *jsonOut) },
-		"validate": func() error {
-			dir, err := repoRoot("validate needs the bundled testdata models")
-			if err != nil {
-				return err
-			}
-			return experiments.ReportValidate(w, dir, *jsonOut)
-		},
 	}
 	if *exp != "" {
 		fn, ok := all[*exp]
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (want e1..e6, pump, validate, serve, mixed, cluster or http)", *exp)
+			return fmt.Errorf("unknown experiment %q (want e1..e6, mixed or cluster)", *exp)
 		}
 		return fn()
 	}
-	for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "pump", "validate", "serve", "mixed", "cluster", "http"} {
+	for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "mixed", "cluster"} {
 		if err := all[name](); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

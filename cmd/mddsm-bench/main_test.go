@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/experiments"
-	"github.com/mddsm/mddsm/internal/metamodel"
 )
 
 func TestRunSingleExperiments(t *testing.T) {
@@ -27,47 +26,19 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 }
 
-func TestRunValidateReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs timing loops")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_validate.json")
-	if err := run([]string{"-e", "validate", "-root", "../..", "-json", out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.ValidateReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Models) != 2 {
-		t.Fatalf("report covers %d models, want 2", len(rep.Models))
-	}
-	for _, m := range rep.Models {
-		if m.Speedup <= 0 || m.CompiledNsOp <= 0 || m.InterpretedNsOp <= 0 {
-			t.Errorf("%s: degenerate timings: %+v", m.Model, m)
+func TestRunErrors(t *testing.T) {
+	// The retired driver modes are refused like any unknown name; their
+	// numbers come from sysbench and the root go test benchmarks.
+	for _, e := range []string{"e99", "pump", "serve", "http", "validate"} {
+		if err := run([]string{"-e", e}); err == nil ||
+			!strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-e %s: got %v", e, err)
 		}
 	}
-	// The validator mode override parses and rejects like the run CLI.
-	defer metamodel.SetValidationMode(metamodel.ModeCompiled)
-	if err := run([]string{"-e", "validate", "-root", "../..", "-validate-mode", "interpreted"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-e", "validate", "-validate-mode", "wat"}); err == nil {
-		t.Error("bad -validate-mode must fail")
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-e", "e99"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("got %v", err)
-	}
-	if err := run([]string{"-bogusflag"}); err == nil {
-		t.Error("bad flag must fail")
+	for _, args := range [][]string{{"-bogusflag"}, {"-validate-mode", "compiled"}} {
+		if err := run(args); err == nil {
+			t.Errorf("%v: bad flag must fail", args)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/mddsm/mddsm/internal/metamodel"
 )
 
 func data(t *testing.T, name string) string {
@@ -42,23 +40,13 @@ func TestRunObs(t *testing.T) {
 }
 
 func TestRunValidateFlags(t *testing.T) {
-	defer metamodel.SetValidationMode(metamodel.ModeCompiled)
-	for _, c := range [][]string{
-		{"-domain", "cvm", "-model", data(t, "session.json"), "-validate-mode", "interpreted"},
-		{"-domain", "cvm", "-model", data(t, "session.json"), "-validate-mode", "delta"},
-		{"-domain", "mgridvm", "-model", data(t, "home.json"), "-validate-mode", "compiled", "-obs"},
-	} {
-		if err := run(c); err != nil {
-			t.Errorf("%v: %v", c, err)
+	// Validation has no flags: the process-wide -validate-mode switch and
+	// the -validate-cache size were removed and must be refused.
+	for _, removed := range [][]string{{"-validate-mode", "compiled"}, {"-validate-cache", "0"}} {
+		args := append([]string{"-domain", "cvm", "-model", data(t, "session.json")}, removed...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: want a flag parse error, got %v", removed, err)
 		}
-	}
-	if err := run([]string{"-domain", "cvm", "-model", data(t, "session.json"),
-		"-validate-mode", "wat"}); err == nil {
-		t.Error("bad -validate-mode must fail")
-	}
-	if err := run([]string{"-domain", "cvm", "-model", data(t, "session.json"),
-		"-validate-cache", "0"}); err == nil {
-		t.Error("-validate-cache was removed and must be refused")
 	}
 }
 

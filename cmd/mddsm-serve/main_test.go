@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -66,8 +67,10 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "not-an-address"}, nil, nil); err == nil {
 		t.Error("bad address must fail")
 	}
-	if err := run([]string{"-validate-mode", "wat"}, nil, nil); err == nil {
-		t.Error("bad validate mode must fail")
+	// -validate-mode was removed: refused at flag parsing.
+	if err := run([]string{"-validate-mode", "compiled"}, nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-validate-mode: want a flag parse error, got %v", err)
 	}
 }
 

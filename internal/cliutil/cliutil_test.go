@@ -3,11 +3,9 @@ package cliutil_test
 import (
 	"flag"
 	"io"
-	"strings"
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/cliutil"
-	"github.com/mddsm/mddsm/internal/metamodel"
 )
 
 // newFS builds a silent flag set so expected parse failures don't spam
@@ -19,20 +17,13 @@ func newFS(t *testing.T) *flag.FlagSet {
 	return fs
 }
 
-// resetMode restores the process-global validation mode after tests that
-// install one through -validate-mode.
-func resetMode(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() { metamodel.SetValidationMode(metamodel.ModeCompiled) })
-}
-
 func TestRegisterDefaults(t *testing.T) {
 	fs := newFS(t)
 	c := cliutil.Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Obs || c.Faults != "" || c.ValidateMode != "" {
+	if c.Obs || c.Faults != "" {
 		t.Fatalf("unset flags not zero: %+v", c)
 	}
 	o, inj, rcfg, err := c.Resolve()
@@ -95,33 +86,6 @@ func TestResolveEmptyFaultsIsNoInjector(t *testing.T) {
 	}
 }
 
-func TestValidateModeResolution(t *testing.T) {
-	resetMode(t)
-	for _, mode := range []string{"compiled", "interpreted"} {
-		fs := newFS(t)
-		c := cliutil.Register(fs)
-		if err := fs.Parse([]string{"-validate-mode", mode}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := c.Resolve(); err != nil {
-			t.Errorf("-validate-mode %s: %v", mode, err)
-		}
-	}
-	fs := newFS(t)
-	c := cliutil.Register(fs)
-	if err := fs.Parse([]string{"-validate-mode", "hypothetical"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Resolve(); err == nil {
-		t.Error("unknown -validate-mode accepted")
-	}
-	// Empty mode is a documented no-op, not an error.
-	c2 := cliutil.Register(newFS(t))
-	if err := c2.ApplyValidationMode(); err != nil {
-		t.Errorf("empty -validate-mode: %v", err)
-	}
-}
-
 func TestRegisterPumpShards(t *testing.T) {
 	fs := newFS(t)
 	c := cliutil.Register(fs).RegisterPump(fs)
@@ -139,19 +103,18 @@ func TestRegisterPumpShards(t *testing.T) {
 
 func TestConflictingFlagCombination(t *testing.T) {
 	// -faults with -obs binds fired-fault metrics to the obs bundle; the
-	// combination must resolve, and a bad mode must win as the error even
-	// when the rest of the flag set is valid.
-	resetMode(t)
+	// full flag set must resolve into all three runtime objects.
 	fs := newFS(t)
 	c := cliutil.Register(fs).RegisterPump(fs)
-	args := []string{"-obs", "-faults", "seed=1,pump.post:drop:p=0.5",
-		"-pump-shards", "2", "-validate-mode", "nope"}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse([]string{"-obs", "-faults", "seed=1,pump.post:drop:p=0.5", "-pump-shards", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Resolve(); err == nil ||
-		!strings.Contains(err.Error(), "validat") {
-		t.Errorf("bad mode in a full flag set: err = %v", err)
+	o, inj, rcfg, err := c.Resolve()
+	if err != nil {
+		t.Fatalf("full flag set: %v", err)
+	}
+	if o == nil || inj == nil || rcfg.PumpShards != 2 {
+		t.Errorf("full flag set resolved to obs=%v inj=%v shards=%d", o, inj, rcfg.PumpShards)
 	}
 }
 

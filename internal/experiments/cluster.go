@@ -145,6 +145,15 @@ func drainBenchForwards(members []*benchMember) error {
 	return fmt.Errorf("cluster bench: forward queues never drained")
 }
 
+// percentile returns the p-quantile of sorted latencies.
+func percentile(sorted []time.Duration, p float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p * float64(len(sorted)-1))
+	return sorted[idx].Nanoseconds()
+}
+
 // measureClusterScale runs one node-count step.
 func measureClusterScale(nodes int) (ClusterScaleResult, error) {
 	res := ClusterScaleResult{Nodes: nodes, Tenants: clusterTenants}

@@ -357,42 +357,8 @@ func (m *Metamodel) Compiled() (*CompiledMetamodel, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation mode and dispatch statistics
+// Validation dispatch statistics
 // ---------------------------------------------------------------------------
-
-// ValidationMode selects how Model.Validate checks conformance.
-type ValidationMode int32
-
-const (
-	// ModeCompiled (the default) validates through the compiled metamodel,
-	// falling back to the interpreted walk when compilation fails.
-	ModeCompiled ValidationMode = iota
-	// ModeInterpreted forces the reference interpreted walk.
-	ModeInterpreted
-)
-
-var valMode atomic.Int32
-
-// SetValidationMode switches the process-wide validation dispatch. It
-// returns the previous mode so tests can restore it.
-func SetValidationMode(mode ValidationMode) ValidationMode {
-	return ValidationMode(valMode.Swap(int32(mode)))
-}
-
-// GetValidationMode returns the current process-wide validation mode.
-func GetValidationMode() ValidationMode { return ValidationMode(valMode.Load()) }
-
-// ParseValidationMode parses a CLI-facing mode name.
-func ParseValidationMode(s string) (ValidationMode, error) {
-	switch s {
-	case "compiled":
-		return ModeCompiled, nil
-	case "interpreted":
-		return ModeInterpreted, nil
-	default:
-		return 0, fmt.Errorf("unknown validation mode %q (want compiled or interpreted)", s)
-	}
-}
 
 // Package-wide dispatch statistics. The atomics are always maintained (they
 // are cheap and make ValidationStats usable without an obs registry); the
@@ -436,9 +402,9 @@ func BindMetrics(reg *obs.Metrics) {
 }
 
 // ValidationStats reports process-wide validation dispatch counts: compiled
-// fast-path validations, interpreted validations (explicit mode or
-// reference calls), fallbacks (compiled mode with an uncompilable
-// metamodel), metamodel compiles, and total time spent compiling.
+// fast-path validations, interpreted validations (direct ValidateInterpreted
+// calls), fallbacks (Validate against an uncompilable metamodel), metamodel
+// compiles, and total time spent compiling.
 func ValidationStats() (fast, interpreted, fallback, compiles int64, compileTime time.Duration) {
 	return statFast.Load(), statInterpreted.Load(), statFallback.Load(),
 		statCompiles.Load(), time.Duration(statCompileNanos.Load())

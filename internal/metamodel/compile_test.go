@@ -88,13 +88,22 @@ func TestCompileRejectsMalformedMetamodel(t *testing.T) {
 		t.Fatal("Compile accepted a metamodel with an inheritance cycle")
 	}
 	// The dispatching Validate must fall back to the interpreted walk and
-	// agree with it.
+	// agree with it; a compilable metamodel takes the compiled path.
 	m := NewModel("broken")
 	m.NewObject("x", "A")
+	good, ok := compileMM(t), NewModel("compile-mm")
+	ok.NewObject("i", "Item").SetAttr("name", "x")
+	fast0, _, fallback0, _, _ := ValidationStats()
 	errFast := m.Clone().Validate(mm)
 	errRef := m.Clone().ValidateInterpreted(mm)
 	if (errFast == nil) != (errRef == nil) {
 		t.Fatalf("fallback disagreed with reference: %v vs %v", errFast, errRef)
+	}
+	if err := ok.Validate(good); err != nil {
+		t.Fatal(err)
+	}
+	if fast, _, fallback, _, _ := ValidationStats(); fast != fast0+1 || fallback != fallback0+1 {
+		t.Errorf("dispatch: %d compiled, %d fallback validations, want 1 each", fast-fast0, fallback-fallback0)
 	}
 }
 
@@ -129,49 +138,6 @@ func TestFingerprintContentBased(t *testing.T) {
 	a, b := compileMM(t), compileMM(t)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("identical content, different fingerprints")
-	}
-}
-
-func TestValidationModeSwitch(t *testing.T) {
-	prev := SetValidationMode(ModeInterpreted)
-	defer SetValidationMode(prev)
-	if GetValidationMode() != ModeInterpreted {
-		t.Fatal("mode did not switch")
-	}
-	fast0, interp0, _, _, _ := ValidationStats()
-	mm := compileMM(t)
-	m := NewModel("compile-mm")
-	m.NewObject("i", "Item").SetAttr("name", "x")
-	if err := m.Validate(mm); err != nil {
-		t.Fatal(err)
-	}
-	fast1, interp1, _, _, _ := ValidationStats()
-	if fast1 != fast0 {
-		t.Error("interpreted mode took the fast path")
-	}
-	if interp1 != interp0+1 {
-		t.Errorf("interpreted dispatches: got %d, want %d", interp1, interp0+1)
-	}
-
-	SetValidationMode(ModeCompiled)
-	if err := m.Clone().Validate(mm); err != nil {
-		t.Fatal(err)
-	}
-	fast2, _, _, _, _ := ValidationStats()
-	if fast2 != fast1+1 {
-		t.Errorf("fast dispatches: got %d, want %d", fast2, fast1+1)
-	}
-}
-
-func TestParseValidationMode(t *testing.T) {
-	if m, err := ParseValidationMode("compiled"); err != nil || m != ModeCompiled {
-		t.Errorf("compiled: %v %v", m, err)
-	}
-	if m, err := ParseValidationMode("interpreted"); err != nil || m != ModeInterpreted {
-		t.Errorf("interpreted: %v %v", m, err)
-	}
-	if _, err := ParseValidationMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
 	}
 }
 

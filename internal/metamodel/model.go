@@ -308,27 +308,23 @@ func (m *Model) ResolveOne(o *Object, ref string) *Object {
 // cardinality respected, reference targets present and type-conformant,
 // single containment and containment acyclicity.
 //
-// By default it dispatches through mm's compiled form (see Compile), which
-// is semantically identical to the interpreted reference walk but skips the
-// per-object inheritance-chain resolution. When the metamodel itself does
-// not compile (it is malformed), or when SetValidationMode forces
-// ModeInterpreted, the interpreted walk runs instead.
+// It dispatches through mm's compiled form (see Compile), which is
+// semantically identical to the interpreted reference walk but skips the
+// per-object inheritance-chain resolution. Only when the metamodel itself
+// does not compile (it is malformed) does the interpreted walk run instead.
 func (m *Model) Validate(mm *Metamodel) error {
-	if GetValidationMode() == ModeCompiled {
-		if cm, err := mm.Compiled(); err == nil {
-			noteFast()
-			return cm.Validate(m)
-		}
-		noteFallback()
-		return m.validateInterpreted(mm)
+	if cm, err := mm.Compiled(); err == nil {
+		noteFast()
+		return cm.Validate(m)
 	}
-	noteInterpreted()
+	noteFallback()
 	return m.validateInterpreted(mm)
 }
 
-// ValidateInterpreted runs the interpreted reference validator regardless
-// of the process-wide validation mode. The differential tests use it to pin
-// the compiled validator's behaviour; it remains the semantic ground truth.
+// ValidateInterpreted runs the interpreted reference validator. The
+// differential tests, the fuzzers and BenchmarkValidateInterpreted call it
+// to pin the compiled validator's behaviour; it remains the semantic
+// ground truth.
 func (m *Model) ValidateInterpreted(mm *Metamodel) error {
 	noteInterpreted()
 	return m.validateInterpreted(mm)

@@ -104,8 +104,10 @@ func (h *hub) Commit(tenant string, m *metamodel.Model, changes metamodel.Change
 // serving it. The platform's commits continue from m, so watchers are sent
 // the difference between the last model they saw and m first — empty
 // unless the tenant's state moved while it was away (re-created after a
-// delete, or adopted back after changing on another node). A stream seen
-// for the first time has no watchers to converge yet and just takes m.
+// delete, or adopted back after changing on another node). After a
+// rehydration m is the stream's last model itself, which Diff answers
+// without a walk. A stream seen for the first time has no watchers to
+// converge yet and just takes m.
 func (h *hub) Attach(tenant string, m *metamodel.Model) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

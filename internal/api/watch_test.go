@@ -231,3 +231,32 @@ func TestWatchReplayEqualsServedModel(t *testing.T) {
 	people()
 	converge()
 }
+
+// TestWatchReattachSendsNoFrame: rehydrating a parked tenant re-attaches
+// its stream to the model the watcher already holds, so the watcher's next
+// frame after any number of parks is the delta of the next write.
+func TestWatchReattachSendsNoFrame(t *testing.T) {
+	e := newEnv(t, serve.Config{})
+	e.createTenant("w", "cml")
+	obj := "/tenants/w/models/cml/objects/"
+	if code, body := e.do("PUT", obj+"alice", objectDoc{Class: "Person", Attrs: map[string]any{"name": "Alice"}}); code != http.StatusCreated {
+		t.Fatalf("PUT alice: %d %s", code, body)
+	}
+	frames := e.openWatch("w")
+	seq, _ := snapshotFrame(t, nextFrame(t, frames))
+	for i := 0; i < 3; i++ {
+		if err := e.srv.Evict("w"); err != nil {
+			t.Fatal(err)
+		}
+		if code, body := e.do("GET", "/tenants/w/models/cml", nil); code != http.StatusOK {
+			t.Fatalf("GET model: %d %s", code, body)
+		}
+	}
+	if code, body := e.do("PATCH", obj+"alice", objectDoc{Attrs: map[string]any{"role": "chair"}}); code != http.StatusOK {
+		t.Fatalf("PATCH alice: %d %s", code, body)
+	}
+	next, changes := deltaFrame(t, nextFrame(t, frames))
+	if next != seq+1 || len(changes) != 1 || changes[0].Feature != "role" {
+		t.Fatalf("first frame after the re-attaches is delta %d %v, want delta %d setting alice's role", next, changes, seq+1)
+	}
+}

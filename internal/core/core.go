@@ -83,38 +83,55 @@ type Definition struct {
 //     mention exists in the DSML (middleware-model ↔ DSML conformance,
 //     the assurance MD-DSM calls for in §IX).
 func (d *Definition) Validate() error {
-	if d.Middleware == nil {
-		return fmt.Errorf("definition %s: nil middleware model", d.Name)
+	if err := d.checkMiddleware(); err != nil {
+		return err
 	}
 	// Validation normalises in place; check a copy so the definition's
 	// model is left as authored.
 	if err := d.Middleware.Clone().Validate(mwmeta.MM()); err != nil {
 		return fmt.Errorf("definition %s: middleware model: %w", d.Name, err)
 	}
+	_, err := d.checkDSK()
+	return err
+}
+
+// checkMiddleware refuses a definition without a middleware model.
+func (d *Definition) checkMiddleware() error {
+	if d.Middleware == nil {
+		return fmt.Errorf("definition %s: nil middleware model", d.Name)
+	}
+	return nil
+}
+
+// checkDSK runs Validate's checks of the DSML and the DSK and returns the
+// Controller's procedure repository it builds along the way (nil when the
+// DSK declares no procedures).
+func (d *Definition) checkDSK() (*registry.Repository, error) {
 	if d.DSML != nil {
 		if err := d.DSML.Validate(); err != nil {
-			return fmt.Errorf("definition %s: DSML: %w", d.Name, err)
+			return nil, fmt.Errorf("definition %s: DSML: %w", d.Name, err)
 		}
 	}
 	if d.DSK.Taxonomy != nil {
 		if err := d.DSK.Taxonomy.Validate(); err != nil {
-			return fmt.Errorf("definition %s: taxonomy: %w", d.Name, err)
+			return nil, fmt.Errorf("definition %s: taxonomy: %w", d.Name, err)
 		}
 	}
-	if _, err := d.buildRepository(); err != nil {
-		return fmt.Errorf("definition %s: %w", d.Name, err)
+	repo, err := d.buildRepository()
+	if err != nil {
+		return nil, fmt.Errorf("definition %s: %w", d.Name, err)
 	}
 	for name, l := range d.DSK.LTSes {
 		if err := l.Validate(); err != nil {
-			return fmt.Errorf("definition %s: lts %s: %w", d.Name, name, err)
+			return nil, fmt.Errorf("definition %s: lts %s: %w", d.Name, name, err)
 		}
 		if d.DSML != nil {
 			if err := checkLTSConformance(l, d.DSML); err != nil {
-				return fmt.Errorf("definition %s: lts %s: %w", d.Name, name, err)
+				return nil, fmt.Errorf("definition %s: lts %s: %w", d.Name, name, err)
 			}
 		}
 	}
-	return nil
+	return repo, nil
 }
 
 // buildRepository assembles the Controller's procedure repository from the
@@ -136,8 +153,12 @@ func (d *Definition) buildRepository() (*registry.Repository, error) {
 }
 
 // Build validates the definition and instantiates the platform through the
-// generic runtime's component factory.
+// generic runtime's component factory. The middleware model is walked
+// once: runtime.Build checks the copy the platform keeps.
 func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
+	if err := def.checkMiddleware(); err != nil {
+		return nil, err
+	}
 	deps, err := def.deps()
 	if err != nil {
 		return nil, err
@@ -149,13 +170,15 @@ func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
 	return p, nil
 }
 
-// Restore validates the definition and rebuilds a platform from a
-// runtime.Snapshot (decoded from Checkpoint bytes or captured in process),
-// binding it to the definition's DSK. The snapshot's middleware model
-// replaces def.Middleware as the platform structure (it is the model the
-// checkpointed platform actually ran), but the definition is still
-// validated in full so the DSK the restored platform binds to is
-// known-consistent.
+// Restore rebuilds a platform from a runtime.Snapshot (decoded from
+// Checkpoint bytes or captured in process), binding it to the definition's
+// DSK. It checks what the restored platform runs: the DSML and the DSK, as
+// Validate does, and the snapshot's middleware model, which replaces
+// def.Middleware as the platform structure (it is the model the
+// checkpointed platform actually ran). def.Middleware is neither checked
+// nor used. runtime.RestoreSnapshot walks the snapshot's middleware and
+// application models once each, in place, and shares them with the
+// restored platform when they are already in validated form.
 func Restore(def Definition, snap *runtime.Snapshot, opts ...runtime.Option) (*runtime.Platform, error) {
 	deps, err := def.deps()
 	if err != nil {
@@ -168,15 +191,12 @@ func Restore(def Definition, snap *runtime.Snapshot, opts ...runtime.Option) (*r
 	return p, nil
 }
 
-// deps validates the definition and binds its DSK, clock and hooks into
-// the runtime's dependency bundle.
+// deps checks the DSML and the DSK and binds them, with the clock and
+// hooks, into the runtime's dependency bundle.
 func (d *Definition) deps() (runtime.Deps, error) {
-	if err := d.Validate(); err != nil {
-		return runtime.Deps{}, err
-	}
-	repo, err := d.buildRepository()
+	repo, err := d.checkDSK()
 	if err != nil {
-		return runtime.Deps{}, fmt.Errorf("definition %s: %w", d.Name, err)
+		return runtime.Deps{}, err
 	}
 	return runtime.Deps{
 		DSML:       d.DSML,

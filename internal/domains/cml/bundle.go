@@ -8,11 +8,15 @@ import (
 	"github.com/mddsm/mddsm/internal/simtime"
 )
 
-// sharedDSML memoises the CML metamodel so every instance provisioned
-// through the bundle registry shares one *Metamodel — and with it the
-// lazily compiled conformance validator, instead of recompiling per
-// tenant.
+// sharedDSML memoises the CML metamodel so every CVM shares one
+// *Metamodel — and with it the lazily compiled conformance validator,
+// instead of recompiling per tenant.
 var sharedDSML = sync.OnceValue(Metamodel)
+
+// sharedMiddleware memoises the authored CVM middleware model. It is never
+// modified: Build validates a copy, and a restore runs the snapshot's
+// model instead.
+var sharedMiddleware = sync.OnceValue(MiddlewareModel)
 
 func init() {
 	domains.Register(domains.Bundle{
@@ -20,7 +24,6 @@ func init() {
 		Doc:  "communication platform (CVM): sessions, streams and attachments over a simulated comm service",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
 			vm, def, _ := assemble(simtime.NewVirtual(), optionsFrom(cfg))
-			def.DSML = sharedDSML()
 			return domains.NewInstance(def,
 				func() string { return vm.Service.Trace().String() },
 				func(p *runtime.Platform, _ bool) { vm.Platform = p },

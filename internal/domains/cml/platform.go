@@ -143,8 +143,8 @@ func assemble(clock simtime.Clock, opts []Option) (*CVM, core.Definition, *build
 	})
 	def := core.Definition{
 		Name:       "cvm",
-		DSML:       Metamodel(),
-		Middleware: MiddlewareModel(),
+		DSML:       sharedDSML(),
+		Middleware: sharedMiddleware(),
 		DSK: core.DSK{
 			Taxonomy:   Taxonomy(),
 			Procedures: Procedures(),

@@ -15,6 +15,11 @@ import (
 // the bundle registry share one compiled conformance validator.
 var sharedDSML = sync.OnceValue(Metamodel)
 
+// sharedProvider memoises the authored provider middleware model. It is
+// never modified: Build validates a copy, and a restore runs the
+// snapshot's model instead.
+var sharedProvider = sync.OnceValue(ProviderModel)
+
 func init() {
 	domains.Register(domains.Bundle{
 		Name: "csense",
@@ -43,7 +48,7 @@ func init() {
 			def := core.Definition{
 				Name:       "csvm-provider",
 				DSML:       sharedDSML(),
-				Middleware: ProviderModel(),
+				Middleware: sharedProvider(),
 				DSK: core.DSK{
 					LTSes:    map[string]*lts.LTS{ProviderLTSName: ProviderLTS()},
 					Adapters: map[string]broker.Adapter{"engine": engine},

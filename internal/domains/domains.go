@@ -175,9 +175,10 @@ func Restore(bundle string, snapshot []byte, cfg Config) (*Instance, error) {
 // RestoreSnapshot rebuilds an instance of the named bundle from a
 // runtime.Snapshot: the bundle's shell and DSK are assembled fresh, the
 // snapshot's middleware model and layer state are reinstated through
-// core.Restore, and the shell's feedback loop is re-attached. It replaces
-// the per-domain Restore copies (cml.Restore, mgrid.Restore). The
-// restored platform is not started.
+// core.Restore — the restored platform shares the snapshot's models
+// rather than copying them — and the shell's feedback loop is
+// re-attached. It replaces the per-domain Restore copies (cml.Restore,
+// mgrid.Restore). The restored platform is not started.
 func RestoreSnapshot(bundle string, snap *runtime.Snapshot, cfg Config) (*Instance, error) {
 	inst, err := assemble(bundle, cfg)
 	if err != nil {

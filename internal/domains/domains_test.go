@@ -7,6 +7,7 @@ import (
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/domains"
 	_ "github.com/mddsm/mddsm/internal/domains/all"
+	"github.com/mddsm/mddsm/internal/domgen"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/runtime"
 )
@@ -138,5 +139,79 @@ func TestRestoreReattachesShell(t *testing.T) {
 	}
 	if err := restored.Platform.DeliverEvent(broker.Event{Name: "telemetry", Attrs: map[string]any{}}); err != nil {
 		t.Errorf("restored platform rejects events: %v", err)
+	}
+}
+
+// walks reports how many conformance walks the process has run so far,
+// over every dispatch path of metamodel.Model.Validate and Conform.
+func walks() int64 {
+	fast, interpreted, fallback, _, _ := metamodel.ValidationStats()
+	return fast + interpreted + fallback
+}
+
+// TestRegistryWalkCounts: provisioning a platform walks the one model it
+// holds, its middleware model, once. A restore walks the two models the
+// restored platform runs, the snapshot's middleware and application
+// models, once each — from a captured snapshot, whose committed model the
+// restored platform then shares, and from decoded bytes alike. The
+// bundle's authored middleware model is not walked on restore.
+func TestRegistryWalkCounts(t *testing.T) {
+	d, err := domgen.Register(domgen.Spec{Name: "walk-loop", Seed: 73, Classes: 4, Depth: 2,
+		AttrsPerClass: 3, Enums: 1, EnumLiterals: 2, LTSStates: 3, LTSShape: domgen.ShapeLoop,
+		LTSDensity: 0.5, EventTypes: 3, InitialObjects: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cml", "csense", "mgrid", "smartspace", d.Name} {
+		t.Run(name, func(t *testing.T) {
+			before := walks()
+			inst, err := domains.New(name, domains.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Close()
+			if n := walks() - before; n != 1 {
+				t.Errorf("New: %d conformance walks, want 1 (the middleware model)", n)
+			}
+			switch name {
+			case "cml":
+				if _, err := inst.Platform.SubmitModel(cmlSession(t, inst)); err != nil {
+					t.Fatal(err)
+				}
+			case d.Name:
+				if _, err := inst.Platform.SubmitModel(d.Initial()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			committed := inst.Platform.Synthesis.Committed()
+			snap := inst.Platform.Quiesce()
+			data, err := snap.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			before = walks()
+			fromValue, err := domains.RestoreSnapshot(name, snap, domains.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fromValue.Close()
+			if n := walks() - before; n != 2 {
+				t.Errorf("RestoreSnapshot: %d conformance walks, want 2 (middleware and application)", n)
+			}
+			if fromValue.Platform.Synthesis.Committed() != committed {
+				t.Error("RestoreSnapshot copied the snapshot's committed model instead of sharing it")
+			}
+
+			before = walks()
+			fromBytes, err := domains.Restore(name, data, domains.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fromBytes.Close()
+			if n := walks() - before; n != 2 {
+				t.Errorf("Restore from bytes: %d conformance walks, want 2 (middleware and application)", n)
+			}
+		})
 	}
 }

@@ -7,9 +7,14 @@ import (
 	"github.com/mddsm/mddsm/internal/runtime"
 )
 
-// sharedDSML memoises the MGML metamodel so instances provisioned through
-// the bundle registry share one compiled conformance validator.
+// sharedDSML memoises the MGML metamodel so every MGridVM shares one
+// compiled conformance validator.
 var sharedDSML = sync.OnceValue(Metamodel)
+
+// sharedMiddleware memoises the authored MGridVM middleware model. It is
+// never modified: Build validates a copy, and a restore runs the
+// snapshot's model instead.
+var sharedMiddleware = sync.OnceValue(MiddlewareModel)
 
 func init() {
 	domains.Register(domains.Bundle{
@@ -17,7 +22,6 @@ func init() {
 		Doc:  "microgrid platform (MGridVM): sources, loads and battery policy over a simulated plant",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
 			vm, def, _ := assemble(optionsFrom(cfg))
-			def.DSML = sharedDSML()
 			return domains.NewInstance(def,
 				func() string { return vm.Plant.Trace().String() },
 				func(p *runtime.Platform, restored bool) {

@@ -341,8 +341,8 @@ func assemble(opts []Option) (*MGridVM, core.Definition, *buildOptions) {
 	})
 	def := core.Definition{
 		Name:       "mgridvm",
-		DSML:       Metamodel(),
-		Middleware: MiddlewareModel(),
+		DSML:       sharedDSML(),
+		Middleware: sharedMiddleware(),
 		DSK: core.DSK{
 			Taxonomy:   Taxonomy(),
 			Procedures: Procedures(),

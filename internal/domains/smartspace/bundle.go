@@ -14,6 +14,11 @@ import (
 // the bundle registry share one compiled conformance validator.
 var sharedDSML = sync.OnceValue(Metamodel)
 
+// sharedCentral memoises the authored central middleware model. It is
+// never modified: Build validates a copy, and a restore runs the
+// snapshot's model instead.
+var sharedCentral = sync.OnceValue(CentralModel)
+
 func init() {
 	domains.Register(domains.Bundle{
 		Name: "smartspace",
@@ -23,7 +28,7 @@ func init() {
 			def := core.Definition{
 				Name:       "2svm",
 				DSML:       sharedDSML(),
-				Middleware: CentralModel(),
+				Middleware: sharedCentral(),
 				DSK: core.DSK{
 					LTSes:    map[string]*lts.LTS{LTSName: SynthesisLTS()},
 					Adapters: map[string]broker.Adapter{"hub": hub},

@@ -212,7 +212,7 @@ func Generate(spec Spec) (*Domain, error) {
 	def := core.Definition{
 		Name:       d.Name,
 		DSML:       d.DSML,
-		Middleware: d.middleware.Clone(),
+		Middleware: d.middleware,
 		DSK:        core.DSK{LTSes: map[string]*lts.LTS{d.LTS.Name: d.LTS}},
 	}
 	if err := def.Validate(); err != nil {
@@ -468,8 +468,10 @@ func (s *sink) trace() string {
 }
 
 // Bundle wraps the domain as a registry bundle: Assemble builds a fresh
-// shell (its own sink adapter, a cloned middleware model) around the
-// shared DSML and LTS, exactly the shape the hand-built bundles register.
+// shell (its own sink adapter) around the shared DSML, LTS and authored
+// middleware model, exactly the shape the hand-built bundles register.
+// The middleware model is never modified: Build validates a copy, and a
+// restore runs the snapshot's model instead.
 func (d *Domain) Bundle() domains.Bundle {
 	return domains.Bundle{
 		Name: d.Name,
@@ -482,7 +484,7 @@ func (d *Domain) Bundle() domains.Bundle {
 			def := core.Definition{
 				Name:       d.Name,
 				DSML:       d.DSML,
-				Middleware: d.middleware.Clone(),
+				Middleware: d.middleware,
 				DSK: core.DSK{
 					LTSes:    map[string]*lts.LTS{d.LTS.Name: d.LTS},
 					Adapters: map[string]broker.Adapter{"sink": snk},

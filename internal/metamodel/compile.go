@@ -111,6 +111,23 @@ func normBool(v any) (any, error) {
 	return b, nil
 }
 
+// canonical reports whether v already has the representation validation
+// gives a value of kind k, so normalising it would return it unchanged.
+func canonical(k Kind, v any) bool {
+	var ok bool
+	switch k {
+	case KindString, KindEnum:
+		_, ok = v.(string)
+	case KindInt:
+		_, ok = v.(int64)
+	case KindFloat:
+		_, ok = v.(float64)
+	case KindBool:
+		_, ok = v.(bool)
+	}
+	return ok
+}
+
 // Compile flattens mm into its compiled form. Only well-formed metamodels
 // compile; an mm whose own Validate fails is rejected, and Model.Validate
 // then falls back to the interpreted walk (which tolerates broken
@@ -202,34 +219,65 @@ func (cm *CompiledMetamodel) isKindOf(class, target string) bool {
 // normalising mutations (attribute values coerced to canonical
 // representations, defaults applied to unset attributes).
 func (cm *CompiledMetamodel) Validate(m *Model) error {
+	_, err := cm.walk(m, true)
+	return err
+}
+
+// Conform checks conformance of m against the compiled metamodel like
+// Validate, with the same problems, but never modifies m. It returns m
+// itself when m is already in validated form — validation would change
+// nothing — and otherwise a copy of m that validation has normalised.
+func (cm *CompiledMetamodel) Conform(m *Model) (*Model, error) {
+	return cm.walk(m, false)
+}
+
+// walk is the one full conformance walk behind Validate and Conform. With
+// write set it normalises m in place. Without, objects are checked in
+// place up to the first one validation would change; the walk then
+// continues over a copy of m, normalising as it goes. It returns the model
+// in validated form: m itself, or that copy.
+func (cm *CompiledMetamodel) walk(m *Model, write bool) (*Model, error) {
 	var errs errorList
 	var container map[string]string // contained ID -> container ID
+	claim := func(tid, owner string) {
+		if container == nil {
+			container = make(map[string]string)
+		}
+		if prev, owned := container[tid]; owned && prev != owner {
+			errs.addf("object %s: contained by both %s and %s", tid, prev, owner)
+		}
+		container[tid] = owner
+	}
+	out := m
 	for _, id := range m.order {
-		cm.validateObject(m, id, m.objects[id], &errs, func(tid, owner string) {
-			if container == nil {
-				container = make(map[string]string)
-			}
-			if prev, owned := container[tid]; owned && prev != owner {
-				errs.addf("object %s: contained by both %s and %s", tid, prev, owner)
-			}
-			container[tid] = owner
-		})
+		if cm.validateObject(out, id, out.objects[id], write, &errs, claim) && !write {
+			write = true
+			out = m.Clone()
+			// Normalise the copy of the object just checked; its problems
+			// and containment claims are already recorded.
+			cm.validateObject(out, id, out.objects[id], true, &errorList{}, func(string, string) {})
+		}
 	}
 	containmentCycles(container, &errs)
-	return errs.err()
+	if err := errs.err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // validateObject checks one object against the compiled layout, appending
-// problems to errs and applying the normalising mutations (canonical value
-// coercion, defaults). Containment claims are reported through claim —
+// problems to errs. With write set it applies the normalising mutations
+// (canonical value coercion, defaults) to o; without, it leaves o
+// untouched. Either way it reports whether validation changes (or would
+// change) o. Containment claims are reported through claim —
 // claim(target, owner) for every containment reference edge, in reference
 // iteration order — so full validation and the delta validator share the
 // per-object walk while accounting ownership differently.
-func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, errs *errorList, claim func(target, owner string)) {
+func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, write bool, errs *errorList, claim func(target, owner string)) (changed bool) {
 	cc := cm.classes[o.Class]
 	if cc == nil {
 		errs.addf("object %s: unknown class %q", id, o.Class)
-		return
+		return false
 	}
 	if cc.abstract {
 		errs.addf("object %s: class %q is abstract", id, o.Class)
@@ -241,10 +289,17 @@ func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, errs
 			continue
 		}
 		ca := &cc.attrs[idx]
-		nv, err := ca.norm(v)
-		if err != nil {
-			errs.addf("object %s (%s): attribute %s: %v", id, o.Class, name, err)
-			continue
+		nv := v
+		if !canonical(ca.kind, v) {
+			var err error
+			if nv, err = ca.norm(v); err != nil {
+				errs.addf("object %s (%s): attribute %s: %v", id, o.Class, name, err)
+				continue
+			}
+			changed = true
+			if write {
+				o.attrs[name] = nv
+			}
 		}
 		if ca.enum != nil {
 			if _, lit := ca.enum[nv.(string)]; !lit {
@@ -252,7 +307,6 @@ func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, errs
 					id, o.Class, name, nv, ca.enumName)
 			}
 		}
-		o.attrs[name] = nv
 	}
 	for i := range cc.attrs {
 		ca := &cc.attrs[i]
@@ -260,7 +314,10 @@ func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, errs
 			continue
 		}
 		if ca.def != nil {
-			o.attrs[ca.name] = ca.def
+			changed = true
+			if write {
+				o.attrs[ca.name] = ca.def
+			}
 			continue
 		}
 		if ca.required {
@@ -302,6 +359,7 @@ func (cm *CompiledMetamodel) validateObject(m *Model, id string, o *Object, errs
 			errs.addf("object %s (%s): required reference %q unset", id, o.Class, cr.name)
 		}
 	}
+	return changed
 }
 
 // containmentCycles runs the acyclicity walk over a complete contained →

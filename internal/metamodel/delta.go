@@ -199,7 +199,7 @@ func (dv *DeltaValidator) Validate(next *Model, changes ChangeList) error {
 	overlay := make(map[string][]string)        // target → claiming owners, dedup
 	overlayByOwner := make(map[string][]string) // owner → claimed targets, dedup
 	for _, id := range checkIDs {
-		dv.cm.validateObject(next, id, next.objects[id], &errs, func(target, owner string) {
+		dv.cm.validateObject(next, id, next.objects[id], true, &errs, func(target, owner string) {
 			for _, prev := range overlay[target] {
 				if prev == owner {
 					return

@@ -89,6 +89,7 @@ func (cl ChangeList) Empty() bool { return len(cl) == 0 }
 // deterministic: removals (sorted by ID, refs removed before the object),
 // then additions (in new-model insertion order), then attribute and
 // reference updates on surviving objects (sorted by ID then feature).
+// A model diffed against itself yields an empty list without a walk.
 func Diff(oldM, newM *Model) ChangeList {
 	return diffOrdered(oldM, newM, nil)
 }
@@ -99,6 +100,9 @@ func Diff(oldM, newM *Model) ChangeList {
 // Synthesis layer uses this so e.g. a stream's close command executes while
 // its session still exists. Ties are broken by ID for determinism.
 func DiffWithContainment(oldM, newM *Model, mm *Metamodel) ChangeList {
+	if oldM == newM {
+		return nil
+	}
 	depth := containmentDepths(oldM, mm)
 	return diffOrdered(oldM, newM, depth)
 }
@@ -143,6 +147,9 @@ func containmentDepths(m *Model, mm *Metamodel) map[string]int {
 // removals deepest-first.
 func diffOrdered(oldM, newM *Model, depth map[string]int) ChangeList {
 	var out ChangeList
+	if oldM == newM {
+		return out
+	}
 
 	// An ID that survives under a different class is a different entity —
 	// domain semantics key on add-object:<Class> — so reclassification is a

@@ -46,7 +46,8 @@ func lenientMetamodel(data []byte) *Metamodel {
 // the compiled and interpreted validators. For compilable metamodels the
 // two must agree on verdict, problem multiset and resulting model state;
 // for uncompilable ones the dispatching Validate must fall back to (and
-// agree with) the interpreted walk without panicking.
+// agree with) the interpreted walk without panicking. Conform must agree
+// with Clone()+Validate on both (assertConformMatchesValidate).
 func FuzzCompiledValidate(f *testing.F) {
 	// Seed corpus: a valid pair, an inheritance cycle, an unknown enum, a
 	// dangling reference, an abstract instantiation, a bad enum literal, a
@@ -79,6 +80,7 @@ func FuzzCompiledValidate(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		assertConformMatchesValidate(t, "conform", mm, m)
 		cm, cerr := Compile(mm)
 		if cerr != nil {
 			// Uncompilable metamodel: the interpreted walk must still not

@@ -321,6 +321,26 @@ func (m *Model) Validate(mm *Metamodel) error {
 	return m.validateInterpreted(mm)
 }
 
+// Conform checks the model's conformance to mm like Validate, with the
+// same problems, but never modifies the model: it returns the model itself
+// when it is already in validated form (Validate would change nothing),
+// and otherwise a normalised copy. Holders of a shared, immutable model —
+// a committed model, a parked snapshot's — check it this way without
+// copying it. Against a metamodel that does not compile it falls back to
+// the interpreted walk over a copy, so it always copies.
+func (m *Model) Conform(mm *Metamodel) (*Model, error) {
+	if cm, err := mm.Compiled(); err == nil {
+		noteFast()
+		return cm.Conform(m)
+	}
+	noteFallback()
+	c := m.Clone()
+	if err := c.validateInterpreted(mm); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // ValidateInterpreted runs the interpreted reference validator. The
 // differential tests, the fuzzers and BenchmarkValidateInterpreted call it
 // to pin the compiled validator's behaviour; it remains the semantic

@@ -123,7 +123,7 @@ type Platform struct {
 
 	// model is the validated middleware model the platform was built from,
 	// retained for checkpointing (models@runtime: the platform *is* this
-	// model).
+	// model). It is never modified, so snapshots share it.
 	model *metamodel.Model
 
 	mPosted       *obs.Counter
@@ -241,9 +241,19 @@ func (p *Platform) externalSink() func(broker.Event) {
 
 // Build validates the middleware model against the middleware metamodel,
 // checks cross-layer consistency, and instantiates the platform. The
-// validation runs on a clone (it applies defaults), which the platform
-// keeps; the caller's model stays intact.
+// validation runs on a copy (it applies defaults), which the platform
+// keeps; the caller's model stays intact and may be edited afterwards.
 func Build(model *metamodel.Model, deps Deps, opts ...Option) (*Platform, error) {
+	work := model.Clone()
+	if err := work.Validate(mwmeta.MM()); err != nil {
+		return nil, fmt.Errorf("runtime: middleware model does not conform: %w", err)
+	}
+	return build(work, deps, opts)
+}
+
+// build instantiates the platform from a middleware model in validated
+// form, which the platform keeps and never modifies.
+func build(work *metamodel.Model, deps Deps, opts []Option) (*Platform, error) {
 	p := &Platform{
 		tracer:    deps.Tracer,
 		metrics:   deps.Metrics,
@@ -258,10 +268,6 @@ func Build(model *metamodel.Model, deps Deps, opts ...Option) (*Platform, error)
 	}
 	p.cfg = p.cfg.withDefaults()
 	p.external = p.cfg.ExternalEvents
-	work := model.Clone()
-	if err := work.Validate(mwmeta.MM()); err != nil {
-		return nil, fmt.Errorf("runtime: middleware model does not conform: %w", err)
-	}
 	platforms := work.ObjectsOf(mwmeta.ClassPlatform)
 	if len(platforms) != 1 {
 		return nil, fmt.Errorf("runtime: middleware model must declare exactly one Platform, got %d", len(platforms))

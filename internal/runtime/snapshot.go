@@ -8,8 +8,8 @@
 // is Capture plus Encode and Restore is DecodeSnapshot plus
 // RestoreSnapshot, the one reinstatement path. It rebuilds the platform
 // through the same factory path as Build (the snapshot's models are
-// re-validated, not trusted) and then reinstates the captured state on
-// top.
+// re-validated, not trusted, but shared rather than copied) and then
+// reinstates the captured state on top.
 //
 // The format is versioned JSON; DecodeSnapshot rejects snapshots whose
 // version it does not understand. JSON normalises all numbers to float64,
@@ -25,6 +25,7 @@ import (
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/controller"
 	"github.com/mddsm/mddsm/internal/metamodel"
+	"github.com/mddsm/mddsm/internal/mwmeta"
 )
 
 // SnapshotVersion is the snapshot format version written by Checkpoint and
@@ -76,9 +77,10 @@ type deadLetterSnapshot struct {
 // Snapshot is a decoded checkpoint: exactly the state Checkpoint
 // serialises, held as values. Its middleware and application models are
 // the platform's own validated and committed models — immutable and
-// shared, never copied — and its maps are copies, so a Snapshot outlives
-// the platform it was captured from and may be restored any number of
-// times. Hosts that park a platform in process (serve's eviction) keep the
+// shared, never copied, and shared again by every platform restored from
+// the Snapshot — and its maps are copies, so a Snapshot outlives the
+// platform it was captured from and may be restored any number of times.
+// Hosts that park a platform in process (serve's eviction) keep the
 // Snapshot and encode it only where bytes leave the process.
 type Snapshot struct {
 	name, domain string
@@ -265,11 +267,19 @@ func Restore(data []byte, deps Deps, opts ...Option) (*Platform, error) {
 // middleware model is re-validated and run through the same factory as
 // Build (bound to the given DSK deps), then the captured layer state is
 // reinstated — committed application model (re-validated too), LTS
-// position, contexts, resource state, open breakers and dead letters. The
-// snapshot itself is left untouched. The restored platform is not
-// started; call Start (and Monitor) as after Build.
+// position, contexts, resource state, open breakers and dead letters.
+// Both models are checked in place with metamodel's Conform, one walk
+// each, and never modified: a model already in validated form — as a
+// captured snapshot's are — is shared by the restored platform instead of
+// copied, and only a model that validation would change (a decoded one
+// whose numbers came back as JSON floats) is copied. The restored
+// platform is not started; call Start (and Monitor) as after Build.
 func RestoreSnapshot(s *Snapshot, deps Deps, opts ...Option) (*Platform, error) {
-	p, err := Build(s.middleware, deps, opts...)
+	mw, err := s.middleware.Conform(mwmeta.MM())
+	if err != nil {
+		return nil, fmt.Errorf("runtime: restore: middleware model does not conform: %w", err)
+	}
+	p, err := build(mw, deps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}

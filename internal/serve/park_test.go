@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -223,7 +224,10 @@ func TestAdoptRefusesMalformedSnapshot(t *testing.T) {
 
 // TestParkedSnapshotSharedAcrossGoroutines: a parked value is read outside
 // the server lock — Snapshot encodes it while rehydration restores from it
-// and eviction replaces it — so several goroutines reach it at once.
+// and eviction replaces it — and a rehydrated tenant shares its models
+// with that value, so PATCHes commit over them while other goroutines
+// still encode it. Every encoded snapshot must hold one of the models the
+// PATCHes committed.
 func TestParkedSnapshotSharedAcrossGoroutines(t *testing.T) {
 	s := NewServer(Config{})
 	defer s.Close()
@@ -233,29 +237,63 @@ func TestParkedSnapshotSharedAcrossGoroutines(t *testing.T) {
 	if _, err := s.SubmitModel("acme", sessionModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Snapshot("acme")
-	if err != nil {
-		t.Fatal(err)
+	roles := []string{"participant", "chair", "observer"}
+	committed := make(map[string]*metamodel.Model, len(roles)) // role of alice → model
+	for _, role := range roles {
+		m := sessionModel(t)
+		m.Get("alice").SetAttr("role", role)
+		if err := m.Validate(cml.Metamodel()); err != nil {
+			t.Fatal(err)
+		}
+		committed[role] = m
+	}
+	// parkedModel decodes an encoded snapshot's application model into
+	// validated form.
+	parkedModel := func(snap []byte) (*metamodel.Model, error) {
+		var doc struct {
+			Synthesis struct {
+				AppModel json.RawMessage `json:"appModel"`
+			} `json:"synthesis"`
+		}
+		if err := json.Unmarshal(snap, &doc); err != nil {
+			return nil, err
+		}
+		m, err := metamodel.UnmarshalModel(doc.Synthesis.AppModel)
+		if err != nil {
+			return nil, err
+		}
+		return m, m.Validate(cml.Metamodel())
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				var err error
-				switch (g + i) % 3 {
+				switch (g + i) % 4 {
 				case 0:
 					err = s.Evict("acme")
 				case 1:
 					var snap []byte
 					if snap, err = s.Snapshot("acme"); err == nil {
-						if same, cerr := runtime.SnapshotsEquivalent(want, snap); cerr != nil || !same {
-							err = fmt.Errorf("snapshot drifted (err %v)", cerr)
+						var m *metamodel.Model
+						if m, err = parkedModel(snap); err == nil {
+							role := m.Get("alice").StringAttr("role")
+							if want, ok := committed[role]; !ok || !metamodel.Equal(m, want) {
+								err = fmt.Errorf("snapshot holds a model no PATCH committed: %s", snap)
+							}
 						}
 					}
-				default:
+				case 2:
 					_, _, err = s.Model("acme")
+				default:
+					// A PATCH: rehydrate, edit a copy, commit it.
+					var m *metamodel.Model
+					if m, _, err = s.Model("acme"); err == nil {
+						m.Get("alice").SetAttr("role", roles[(g+i)%len(roles)])
+						_, err = s.SubmitModel("acme", m)
+					}
 				}
 				// "not resident": another goroutine parked it first.
 				if err != nil && !strings.Contains(err.Error(), "not resident") {
@@ -266,4 +304,59 @@ func TestParkedSnapshotSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRehydrateSharesCommittedModel: a tenant rehydrated from its parked
+// value commits the very model it held before the park, not a copy, and
+// its watchers see no change from the re-attach.
+func TestRehydrateSharesCommittedModel(t *testing.T) {
+	s := NewServer(Config{})
+	defer s.Close()
+	rec := &recordingObserver{}
+	s.SetModelObserver(rec)
+	if err := s.Create("acme", "cml"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitModel("acme", sessionModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := s.committed("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Evict("acme"); err != nil {
+			t.Fatal(err)
+		}
+		after, _, err := s.committed("acme") // rehydrates
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before {
+			t.Fatalf("park %d: the rehydrated tenant commits a copy of its model, not the parked value", i)
+		}
+	}
+	if got := rec.attached(); len(got) != 4 || got[1] != before || got[2] != before || got[3] != before {
+		t.Fatalf("re-attaches reported %v, want the parked model each time", got)
+	}
+}
+
+// recordingObserver records the models each Attach reports.
+type recordingObserver struct {
+	mu     sync.Mutex
+	models []*metamodel.Model
+}
+
+func (r *recordingObserver) Attach(_ string, m *metamodel.Model) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.models = append(r.models, m)
+}
+
+func (r *recordingObserver) Commit(string, *metamodel.Model, metamodel.ChangeList) {}
+
+func (r *recordingObserver) attached() []*metamodel.Model {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*metamodel.Model(nil), r.models...)
 }

@@ -452,7 +452,8 @@ type ModelObserver interface {
 	// and for tenants already resident when the observer is installed.
 	// The change lists of later commits continue from this model, which
 	// differs from the last one the observer saw if the tenant's state
-	// moved while it was away.
+	// moved while it was away. A tenant rehydrated from its own parked
+	// snapshot reports the very model value it held when it was parked.
 	Attach(tenant string, m *metamodel.Model)
 	// Commit reports one committed model with the change list that turned
 	// the tenant's previous model into it.

@@ -3,6 +3,7 @@ package synthesis
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/metamodel"
@@ -245,4 +246,61 @@ func TestDeltaModeRestoreRebasesValidator(t *testing.T) {
 	bad := sDelta.CurrentModel()
 	bad.Get("s9").AddRef("participants", "bob") // bob is gone
 	submitBoth(t, "post-restore dangling", sFull, full, sDelta, delta, bad)
+}
+
+// TestDeltaModeRestoreSharesCommittedModel: a delta-mode layer restored
+// from another layer's committed model shares it — the delta validator is
+// re-based over the shared model itself — and neither layer's later
+// submissions modify it while it is being read elsewhere. Run under -race.
+func TestDeltaModeRestoreSharesCommittedModel(t *testing.T) {
+	sFull, _, sDelta, _ := buildPair(t)
+	m := metamodel.NewModel("mini-cml")
+	m.NewObject("s1", "Session")
+	m.NewObject("alice", "Person").SetAttr("name", "Alice")
+	m.Get("s1").AddRef("participants", "alice")
+	if _, err := sFull.Submit(m); err != nil {
+		t.Fatal(err)
+	}
+	shared := sFull.Committed()
+	want, err := metamodel.MarshalModel(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sDelta.RestoreState(shared, sFull.Seq(), sFull.State()); err != nil {
+		t.Fatal(err)
+	}
+	if sDelta.Committed() != shared || sDelta.delta.Base() != shared {
+		t.Fatal("the restored layer copied the committed model instead of sharing it")
+	}
+
+	var wg sync.WaitGroup
+	for _, s := range []*Synthesis{sFull, sDelta} {
+		wg.Add(1)
+		go func(s *Synthesis) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				next := s.CurrentModel()
+				next.Get("alice").SetAttr("name", fmt.Sprintf("Alice %d", i))
+				next.NewObject(fmt.Sprintf("p%d", i), "Person").SetAttr("name", "P")
+				if _, err := s.Submit(next); err != nil {
+					t.Errorf("%s: submit %d: %v", s.Name(), i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if _, err := metamodel.MarshalModel(shared); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if got, err := metamodel.MarshalModel(shared); err != nil || string(got) != string(want) {
+		t.Fatalf("submissions modified the shared model (err %v):\n%s\nwant:\n%s", err, got, want)
+	}
 }

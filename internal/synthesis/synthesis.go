@@ -33,9 +33,10 @@ type Dispatch func(*script.Script) error
 
 // ModelObserver receives the committed runtime model after each successful
 // submission or restore (the dispatcher's "new runtime model to the UI"),
-// with the change list that turned the previously committed model into it.
-// The model is the layer's own, not a copy: a committed model is never
-// modified again, so observers may read and keep it but must not modify it.
+// with the change list that turned the previously committed model into it
+// — none after a restore, which re-bases the layer. The model is the
+// layer's own, not a copy: a committed model is never modified again, so
+// observers may read and keep it but must not modify it.
 type ModelObserver func(m *metamodel.Model, changes metamodel.ChangeList)
 
 // Config assembles a Synthesis layer.
@@ -206,9 +207,18 @@ func (s *Synthesis) Seq() int {
 // attaches to are assumed to already realise the model (or to be
 // re-provisioned out of band). The model must conform to the DSML and the
 // LTS state must be one the instance's definition declares.
+//
+// The model is checked with metamodel's Conform, one walk that never
+// modifies it: a model already in validated form (a captured snapshot's
+// committed model) becomes the committed model itself, shared with the
+// caller, and only one that validation would change is copied. The
+// caller must not modify m afterwards. A restore re-bases the layer
+// rather than committing a change: the observer receives the restored
+// model with no change list, and hosts that stream changes diff it
+// against what their watchers last saw (serve's ModelObserver.Attach).
 func (s *Synthesis) RestoreState(m *metamodel.Model, seq int, ltsState string) error {
-	candidate := m.Clone()
-	if err := candidate.Validate(s.dsml); err != nil {
+	restored, err := m.Conform(s.dsml)
+	if err != nil {
 		return fmt.Errorf("synthesis %s: restored model does not conform to %s: %w",
 			s.name, s.dsml.Name, err)
 	}
@@ -217,18 +227,17 @@ func (s *Synthesis) RestoreState(m *metamodel.Model, seq int, ltsState string) e
 	if err := s.instance.Restore(ltsState); err != nil {
 		return fmt.Errorf("synthesis %s: restore: %w", s.name, err)
 	}
-	changes := metamodel.DiffWithContainment(s.current, candidate, s.dsml)
-	s.current = candidate
+	s.current = restored
 	if s.delta != nil {
 		// Incremental indexes are only valid relative to the model they were
 		// built over; a restore re-bases them from scratch.
-		s.delta = metamodel.NewDeltaValidator(s.deltaCM, candidate)
+		s.delta = metamodel.NewDeltaValidator(s.deltaCM, restored)
 	}
 	if seq > s.seq {
 		s.seq = seq
 	}
 	if s.observe != nil {
-		s.observe(candidate, changes)
+		s.observe(restored, nil)
 	}
 	return nil
 }

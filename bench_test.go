@@ -16,6 +16,7 @@ import (
 	"github.com/mddsm/mddsm/internal/baseline"
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/controller"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/domains/mgrid"
 	"github.com/mddsm/mddsm/internal/dsc"
@@ -251,7 +252,7 @@ func BenchmarkAblationPolicyCount(b *testing.B) {
 // round trip on the CVM (not a paper table; it contextualises the layered
 // architecture's end-to-end cost).
 func BenchmarkModelSubmission(b *testing.B) {
-	vm, err := cml.New()
+	vm, err := cml.New(domains.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,8 +368,7 @@ func pumpBenchPlatform(b *testing.B, ad broker.Adapter, shards int) (*mdruntime.
 	p, err := mdruntime.Build(mb.Model(), mdruntime.Deps{
 		Adapters: map[string]broker.Adapter{"main": ad},
 		Metrics:  m,
-	}, mdruntime.WithPumpShards(shards), mdruntime.WithShardKey("src"),
-		mdruntime.WithPumpQueue(4096))
+	}, mdruntime.Config{PumpShards: shards, ShardKey: "src", PumpQueue: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}

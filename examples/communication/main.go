@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 )
 
@@ -20,7 +21,7 @@ func main() {
 }
 
 func run() error {
-	vm, err := cml.New()
+	vm, err := cml.New(domains.Config{})
 	if err != nil {
 		return err
 	}

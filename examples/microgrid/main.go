@@ -11,6 +11,7 @@ import (
 	"log"
 	"time"
 
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/mgrid"
 	"github.com/mddsm/mddsm/internal/script"
 )
@@ -22,7 +23,7 @@ func main() {
 }
 
 func run() error {
-	vm, err := mgrid.New()
+	vm, err := mgrid.New(domains.Config{})
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/registry"
+	"github.com/mddsm/mddsm/internal/runtime"
 	"github.com/mddsm/mddsm/internal/script"
 )
 
@@ -98,7 +99,7 @@ func run() error {
 			LTSes:      map[string]*lts.LTS{"greet-sem": sem},
 			Adapters:   map[string]broker.Adapter{"display": display},
 		},
-	})
+	}, runtime.Config{})
 	if err != nil {
 		return err
 	}

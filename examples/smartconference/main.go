@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"github.com/mddsm/mddsm/internal/bridge"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/domains/smartspace"
 	"github.com/mddsm/mddsm/internal/script"
@@ -25,11 +26,11 @@ func main() {
 }
 
 func run() error {
-	room, err := smartspace.New()
+	room, err := smartspace.New(domains.Config{})
 	if err != nil {
 		return err
 	}
-	cvm, err := cml.New()
+	cvm, err := cml.New(domains.Config{})
 	if err != nil {
 		return err
 	}

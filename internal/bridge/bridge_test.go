@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/broker"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/domains/smartspace"
 	"github.com/mddsm/mddsm/internal/remote"
@@ -77,11 +78,11 @@ func TestFailureAccumulation(t *testing.T) {
 // conference room. When a participant's badge enters the 2SVM-managed
 // space, the bridge sets up a CVM communication session for them.
 func TestSmartSpaceToCVMBridge(t *testing.T) {
-	room, err := smartspace.New()
+	room, err := smartspace.New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cvm, err := cml.New()
+	cvm, err := cml.New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestSmartSpaceToCVMBridge(t *testing.T) {
 // behind the TCP wire: source events translate into commands dispatched to
 // a remote.Server-hosted platform.
 func TestBridgeToRemotePlatform(t *testing.T) {
-	cvm, err := cml.New()
+	cvm, err := cml.New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

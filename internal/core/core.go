@@ -153,9 +153,9 @@ func (d *Definition) buildRepository() (*registry.Repository, error) {
 }
 
 // Build validates the definition and instantiates the platform through the
-// generic runtime's component factory. The middleware model is walked
-// once: runtime.Build checks the copy the platform keeps.
-func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
+// generic runtime's component factory, tuned by cfg. The middleware model
+// is walked once: runtime.Build checks the copy the platform keeps.
+func Build(def Definition, cfg runtime.Config) (*runtime.Platform, error) {
 	if err := def.checkMiddleware(); err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := runtime.Build(def.Middleware, deps, opts...)
+	p, err := runtime.Build(def.Middleware, deps, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
 	}
@@ -179,12 +179,12 @@ func Build(def Definition, opts ...runtime.Option) (*runtime.Platform, error) {
 // nor used. runtime.RestoreSnapshot walks the snapshot's middleware and
 // application models once each, in place, and shares them with the
 // restored platform when they are already in validated form.
-func Restore(def Definition, snap *runtime.Snapshot, opts ...runtime.Option) (*runtime.Platform, error) {
+func Restore(def Definition, snap *runtime.Snapshot, cfg runtime.Config) (*runtime.Platform, error) {
 	deps, err := def.deps()
 	if err != nil {
 		return nil, err
 	}
-	p, err := runtime.RestoreSnapshot(snap, deps, opts...)
+	p, err := runtime.RestoreSnapshot(snap, deps, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/registry"
+	"github.com/mddsm/mddsm/internal/runtime"
 	"github.com/mddsm/mddsm/internal/script"
 )
 
@@ -102,7 +103,7 @@ func goodDef(t testing.TB, r *rec) Definition {
 
 func TestBuildAndRunEndToEnd(t *testing.T) {
 	r := &rec{}
-	p, err := Build(goodDef(t, r))
+	p, err := Build(goodDef(t, r), runtime.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestBuildPropagatesRuntimeErrors(t *testing.T) {
 	r := &rec{}
 	def := goodDef(t, r)
 	delete(def.DSK.Adapters, "main")
-	_, err := Build(def)
+	_, err := Build(def, runtime.Config{})
 	if err == nil || !strings.Contains(err.Error(), "unknown adapter") {
 		t.Errorf("got %v", err)
 	}
@@ -256,7 +257,7 @@ func TestDefinitionWithoutProceduresBuildsNoRepository(t *testing.T) {
 			o.RemoveRef("classes", ref)
 		}
 	}
-	p, err := Build(def)
+	p, err := Build(def, runtime.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

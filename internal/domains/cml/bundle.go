@@ -5,7 +5,6 @@ import (
 
 	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/runtime"
-	"github.com/mddsm/mddsm/internal/simtime"
 )
 
 // sharedDSML memoises the CML metamodel so every CVM shares one
@@ -23,24 +22,11 @@ func init() {
 		Name: "cml",
 		Doc:  "communication platform (CVM): sessions, streams and attachments over a simulated comm service",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			vm, def, _ := assemble(simtime.NewVirtual(), optionsFrom(cfg))
+			vm, def := assemble(cfg)
 			return domains.NewInstance(def,
 				func() string { return vm.Service.Trace().String() },
 				func(p *runtime.Platform, _ bool) { vm.Platform = p },
 			), nil
 		},
 	})
-}
-
-// optionsFrom maps a bundle config onto this package's option surface
-// (the zero Resilience disables itself, so it passes through unguarded).
-func optionsFrom(cfg domains.Config) []Option {
-	opts := []Option{WithResilience(cfg.Resilience)}
-	if cfg.Obs != nil {
-		opts = append(opts, WithObs(cfg.Obs))
-	}
-	if cfg.Injector != nil {
-		opts = append(opts, WithFault(cfg.Injector))
-	}
-	return opts
 }

@@ -7,10 +7,12 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/core"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/resources/comm"
+	"github.com/mddsm/mddsm/internal/runtime"
 	"github.com/mddsm/mddsm/internal/script"
 	"github.com/mddsm/mddsm/internal/simtime"
 )
@@ -42,7 +44,7 @@ func TestMiddlewareModelConforms(t *testing.T) {
 
 func buildCVM(t *testing.T) *CVM {
 	t.Helper()
-	vm, err := New()
+	vm, err := New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +311,7 @@ func TestMiddlewareModelJSONRoundTripRebuildsWorkingPlatform(t *testing.T) {
 			Adapters:   map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
 		},
 		Clock: vm.Clock,
-	})
+	}, runtime.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

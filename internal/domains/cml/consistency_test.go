@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/resources/comm"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestModelServiceConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		vm, err := New()
+		vm, err := New(domains.Config{})
 		if err != nil {
 			t.Log(err)
 			return false

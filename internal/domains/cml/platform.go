@@ -5,11 +5,10 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/core"
-	"github.com/mddsm/mddsm/internal/fault"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
-	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/resources/comm"
 	"github.com/mddsm/mddsm/internal/runtime"
 	"github.com/mddsm/mddsm/internal/simtime"
@@ -72,51 +71,13 @@ type CVM struct {
 	Clock    simtime.Clock
 }
 
-// Option customises CVM construction.
-type Option func(*buildOptions)
-
-type buildOptions struct {
-	obs        *obs.Obs
-	injector   *fault.Injector
-	resilience fault.Resilience
-	runtime    []runtime.Option
-}
-
-// WithObs instruments every layer of the CVM with the given observability
-// bundle (tracing + metrics).
-func WithObs(o *obs.Obs) Option {
-	return func(b *buildOptions) { b.obs = o }
-}
-
-// WithFault arms the CVM's fault points with the given injector.
-func WithFault(in *fault.Injector) Option {
-	return func(b *buildOptions) { b.injector = in }
-}
-
-// WithResilience configures retry, step timeouts, and circuit-breaking
-// across the CVM's layers.
-func WithResilience(r fault.Resilience) Option {
-	return func(b *buildOptions) { b.resilience = r }
-}
-
-// WithRuntime forwards platform-level runtime options (pump sharding,
-// queue capacity, drain timeout, ...) to the underlying engine.
-func WithRuntime(opts ...runtime.Option) Option {
-	return func(b *buildOptions) { b.runtime = append(b.runtime, opts...) }
-}
-
-// New builds a CVM on a virtual clock. Events from the communication
-// service are delivered synchronously into the NCB so tests and scenarios
-// are deterministic.
-func New(opts ...Option) (*CVM, error) {
-	clock := simtime.NewVirtual()
-	return NewWithClock(clock, opts...)
-}
-
-// NewWithClock builds a CVM on the supplied clock.
-func NewWithClock(clock simtime.Clock, opts ...Option) (*CVM, error) {
-	vm, def, bo := assemble(clock, opts)
-	p, err := core.Build(def, bo.runtime...)
+// New builds a CVM on a virtual clock, configured by cfg: the same
+// assembly the registered "cml" bundle runs. Events from the
+// communication service are delivered synchronously into the NCB so tests
+// and scenarios are deterministic.
+func New(cfg domains.Config) (*CVM, error) {
+	vm, def := assemble(cfg)
+	p, err := core.Build(def, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("cvm: %w", err)
 	}
@@ -128,13 +89,10 @@ func NewWithClock(clock simtime.Clock, opts ...Option) (*CVM, error) {
 // bundle registry: domains.Restore("cml", snapshot, cfg) — the single
 // registry-driven restore path that replaced the per-domain copies.
 
-// assemble wires the CVM shell (clock + simulated service) and the MD-DSM
-// definition that Build and Restore share.
-func assemble(clock simtime.Clock, opts []Option) (*CVM, core.Definition, *buildOptions) {
-	var bo buildOptions
-	for _, o := range opts {
-		o(&bo)
-	}
+// assemble wires the CVM shell (virtual clock + simulated service) and the
+// MD-DSM definition that New and the bundle share.
+func assemble(cfg domains.Config) (*CVM, core.Definition) {
+	clock := simtime.NewVirtual()
 	vm := &CVM{Clock: clock}
 	vm.Service = comm.NewService(clock, func(e comm.Event) {
 		if vm.Platform != nil {
@@ -152,11 +110,11 @@ func assemble(clock simtime.Clock, opts []Option) (*CVM, core.Definition, *build
 			Adapters:   map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
 		},
 		Clock:      clock,
-		Obs:        bo.obs,
-		Injector:   bo.injector,
-		Resilience: bo.resilience,
+		Obs:        cfg.Obs,
+		Injector:   cfg.Injector,
+		Resilience: cfg.Resilience,
 	}
-	return vm, def, &bo
+	return vm, def
 }
 
 // NCBModel authors a broker-only middleware model: the NCB layer alone,
@@ -199,7 +157,7 @@ func NewStandaloneNCB() (*StandaloneNCB, error) {
 	p, err := runtime.Build(NCBModel(), runtime.Deps{
 		Adapters: map[string]broker.Adapter{"commService": NewAdapter(n.Service)},
 		Clock:    clock,
-	})
+	}, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("standalone ncb: %w", err)
 	}

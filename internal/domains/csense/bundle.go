@@ -11,8 +11,9 @@ import (
 	"github.com/mddsm/mddsm/internal/runtime"
 )
 
-// sharedDSML memoises the CSML metamodel so instances provisioned through
-// the bundle registry share one compiled conformance validator.
+// sharedDSML memoises the CSML metamodel so every CSVM platform — bundle
+// instances and New's provider and devices — shares one compiled
+// conformance validator.
 var sharedDSML = sync.OnceValue(Metamodel)
 
 // sharedProvider memoises the authored provider middleware model. It is

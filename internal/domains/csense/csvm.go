@@ -380,13 +380,13 @@ func New(seed int64) (*CSVM, error) {
 
 	provider, err := core.Build(core.Definition{
 		Name:       "csvm-provider",
-		DSML:       Metamodel(),
-		Middleware: ProviderModel(),
+		DSML:       sharedDSML(),
+		Middleware: sharedProvider(),
 		DSK: core.DSK{
 			LTSes:    map[string]*lts.LTS{ProviderLTSName: ProviderLTS()},
 			Adapters: map[string]broker.Adapter{"engine": vm.Engine},
 		},
-	})
+	}, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("csvm provider: %w", err)
 	}
@@ -407,13 +407,13 @@ func New(seed int64) (*CSVM, error) {
 func (vm *CSVM) AddDevice(name string) (*runtime.Platform, error) {
 	device, err := core.Build(core.Definition{
 		Name:       "csvm-" + name,
-		DSML:       Metamodel(),
+		DSML:       sharedDSML(),
 		Middleware: DeviceModel(),
 		DSK: core.DSK{
 			LTSes:    map[string]*lts.LTS{DeviceLTSName: DeviceLTS()},
 			Adapters: map[string]broker.Adapter{"providerLink": newLink(vm.gw, name)},
 		},
-	})
+	}, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("csvm device %s: %w", name, err)
 	}

@@ -25,9 +25,9 @@ import (
 )
 
 // Config carries everything a bundle needs to build (or restore) one
-// platform instance: the unified runtime tuning profile plus the
-// cross-cutting observability, fault-injection and resilience hooks that
-// used to be one functional option each per domain package.
+// platform instance: the runtime tuning profile plus the cross-cutting
+// observability, fault-injection and resilience hooks. cml.New, mgrid.New
+// and smartspace.New take it too, and run their bundle's assembly.
 type Config struct {
 	// Runtime is the platform tuning profile (zero fields mean the
 	// runtime defaults; see runtime.Defaults).
@@ -153,7 +153,7 @@ func New(bundle string, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Build(inst.definition, runtime.WithConfig(cfg.Runtime))
+	p, err := core.Build(inst.definition, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("domains: build %s: %w", bundle, err)
 	}
@@ -184,7 +184,7 @@ func RestoreSnapshot(bundle string, snap *runtime.Snapshot, cfg Config) (*Instan
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Restore(inst.definition, snap, runtime.WithConfig(cfg.Runtime))
+	p, err := core.Restore(inst.definition, snap, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("domains: restore %s: %w", bundle, err)
 	}

@@ -7,9 +7,13 @@ import (
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/domains"
 	_ "github.com/mddsm/mddsm/internal/domains/all"
+	"github.com/mddsm/mddsm/internal/domains/cml"
+	"github.com/mddsm/mddsm/internal/domains/mgrid"
+	"github.com/mddsm/mddsm/internal/domains/smartspace"
 	"github.com/mddsm/mddsm/internal/domgen"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/runtime"
+	"github.com/mddsm/mddsm/internal/ui"
 )
 
 func TestRegistryHasBuiltinBundles(t *testing.T) {
@@ -56,6 +60,124 @@ func TestEveryBundleBuilds(t *testing.T) {
 		}
 		_ = inst.Trace() // must not panic
 		inst.Close()
+	}
+}
+
+// TestNewIsTheBundlePath: each domain package's New runs the assembly its
+// registered bundle runs. Built with one Config, the two platforms share
+// the bundle's DSML, synthesise the same script from the same model,
+// drive the same resource trace and capture equivalent snapshots.
+func TestNewIsTheBundlePath(t *testing.T) {
+	cfg := domains.Config{Runtime: runtime.Config{PumpQueue: 32, DLQCapacity: runtime.DLQDisabled}}
+	type built struct {
+		p     *runtime.Platform
+		trace func() string
+	}
+	for _, c := range []struct {
+		bundle string
+		newVM  func() (built, error)
+		model  func(d *ui.Draft)
+		traced bool // whether submitting the model reaches the resource trace
+	}{
+		{"cml", func() (built, error) {
+			vm, err := cml.New(cfg)
+			if err != nil {
+				return built{}, err
+			}
+			return built{vm.Platform, vm.Service.Trace().String}, nil
+		}, func(d *ui.Draft) {
+			d.MustAdd("alice", "Person").SetAttr("name", "Alice")
+			d.MustAdd("bob", "Person").SetAttr("name", "Bob")
+			d.MustAdd("s1", "Session").
+				SetRef("participants", "alice", "bob").
+				SetRef("streams", "a1")
+			d.MustAdd("a1", "Stream").
+				SetAttr("media", "audio").
+				SetAttr("bandwidth", 64).
+				SetAttr("session", "s1")
+		}, true},
+		{"mgrid", func() (built, error) {
+			vm, err := mgrid.New(cfg)
+			if err != nil {
+				return built{}, err
+			}
+			return built{vm.Platform, vm.Plant.Trace().String}, nil
+		}, func(d *ui.Draft) {
+			d.MustAdd("home", "Microgrid").
+				SetAttr("name", "Casa Verde").
+				SetRef("devices", "solar", "load").
+				SetRef("policies", "reserve")
+			d.MustAdd("solar", "DeviceCfg").SetAttr("kind", "solar").SetAttr("capacity", 5).SetAttr("output", 3)
+			d.MustAdd("load", "DeviceCfg").SetAttr("kind", "load").SetAttr("capacity", 8).SetAttr("output", -5)
+			d.MustAdd("reserve", "EnergyPolicy").SetAttr("name", "keep-reserve").SetAttr("reserve", 0.3)
+		}, true},
+		{"smartspace", func() (built, error) {
+			vm, err := smartspace.New(cfg)
+			if err != nil {
+				return built{}, err
+			}
+			return built{vm.Platform, vm.Hub.Space().Trace().String}, nil
+		}, func(d *ui.Draft) {
+			d.MustAdd("ana", "User").SetAttr("name", "Ana")
+			d.MustAdd("lamp1", "ObjectDecl").SetAttr("kind", "lamp")
+			d.MustAdd("welcome", "Rule").
+				SetAttr("onEvent", "objectEntered").
+				SetAttr("subject", "badge-ana").
+				SetAttr("targetObject", "lamp1").
+				SetAttr("prop", "on").
+				SetAttr("value", "true")
+		}, false},
+	} {
+		t.Run(c.bundle, func(t *testing.T) {
+			direct, err := c.newVM()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer direct.p.Stop()
+			inst, err := domains.New(c.bundle, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Close()
+
+			if direct.p.Synthesis.DSML() != inst.Platform.Synthesis.DSML() {
+				t.Error("New runs a different DSML instance than the bundle")
+			}
+			if a, b := direct.p.Config(), inst.Platform.Config(); a != b {
+				t.Errorf("runtime config: New %+v, bundle %+v", a, b)
+			}
+
+			d := direct.p.UI.NewDraft()
+			c.model(d)
+			var scripts [2]string
+			for i, p := range []*runtime.Platform{direct.p, inst.Platform} {
+				s, err := p.SubmitModel(d.Model())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scripts[i] = s.String()
+			}
+			if scripts[0] != scripts[1] {
+				t.Errorf("scripts differ:\n New: %s\nbundle: %s", scripts[0], scripts[1])
+			}
+			if a, b := direct.trace(), inst.Trace(); a != b {
+				t.Errorf("resource traces differ:\n New: %s\nbundle: %s", a, b)
+			} else if c.traced && a == "" {
+				t.Error("the model drove no resource operation")
+			}
+
+			a, err := direct.p.Capture().Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := inst.Platform.Capture().Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same, err := runtime.SnapshotsEquivalent(a, b); err != nil || !same {
+				t.Errorf("snapshots not equivalent (err %v):\n New: %s\nbundle: %s", err, a, b)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/mddsm/mddsm/internal/domains"
-	"github.com/mddsm/mddsm/internal/runtime"
 )
 
 // sharedDSML memoises the MGML metamodel so every MGridVM shares one
@@ -21,36 +20,11 @@ func init() {
 		Name: "mgrid",
 		Doc:  "microgrid platform (MGridVM): sources, loads and battery policy over a simulated plant",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			vm, def, _ := assemble(optionsFrom(cfg))
+			vm, def := assemble(cfg)
 			return domains.NewInstance(def,
 				func() string { return vm.Plant.Trace().String() },
-				func(p *runtime.Platform, restored bool) {
-					vm.Platform = p
-					// Construction seeds the autonomic telemetry variables;
-					// a restored snapshot's checkpointed values win, the
-					// seeds fill only the keys it does not carry.
-					ctx := p.Broker.Context()
-					if _, ok := ctx.Get("batteryCharge"); !ok || !restored {
-						ctx.Set("batteryCharge", 1e9)
-					}
-					if _, ok := ctx.Get("reserveKWh"); !ok || !restored {
-						ctx.Set("reserveKWh", 0.0)
-					}
-				},
+				vm.attach,
 			), nil
 		},
 	})
-}
-
-// optionsFrom maps a bundle config onto this package's option surface
-// (the zero Resilience disables itself, so it passes through unguarded).
-func optionsFrom(cfg domains.Config) []Option {
-	opts := []Option{WithResilience(cfg.Resilience)}
-	if cfg.Obs != nil {
-		opts = append(opts, WithObs(cfg.Obs))
-	}
-	if cfg.Injector != nil {
-		opts = append(opts, WithFault(cfg.Injector))
-	}
-	return opts
 }

@@ -18,13 +18,12 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/core"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/dsc"
 	"github.com/mddsm/mddsm/internal/eu"
-	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
-	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/registry"
 	"github.com/mddsm/mddsm/internal/resources/microgrid"
 	"github.com/mddsm/mddsm/internal/runtime"
@@ -268,70 +267,27 @@ type MGridVM struct {
 	Clock    simtime.Clock
 }
 
-// Option customises MGridVM construction.
-type Option func(*buildOptions)
-
-type buildOptions struct {
-	obs        *obs.Obs
-	injector   *fault.Injector
-	resilience fault.Resilience
-	runtime    []runtime.Option
-}
-
-// WithObs instruments every layer of the MGridVM with the given
-// observability bundle (tracing + metrics).
-func WithObs(o *obs.Obs) Option {
-	return func(b *buildOptions) { b.obs = o }
-}
-
-// WithFault arms the MGridVM's fault points with the given injector.
-func WithFault(in *fault.Injector) Option {
-	return func(b *buildOptions) { b.injector = in }
-}
-
-// WithResilience configures retry, step timeouts, and circuit-breaking
-// across the MGridVM's layers.
-func WithResilience(r fault.Resilience) Option {
-	return func(b *buildOptions) { b.resilience = r }
-}
-
-// WithRuntime forwards platform-level runtime options (pump sharding,
-// queue capacity, drain timeout, ...) to the underlying engine.
-func WithRuntime(opts ...runtime.Option) Option {
-	return func(b *buildOptions) { b.runtime = append(b.runtime, opts...) }
-}
-
-// New builds an MGridVM on a virtual clock. Plant events are delivered
+// New builds an MGridVM on a virtual clock, configured by cfg: the same
+// assembly the registered "mgrid" bundle runs. Plant events are delivered
 // synchronously into the MHB.
-func New(opts ...Option) (*MGridVM, error) {
-	vm, def, bo := assemble(opts)
-	p, err := core.Build(def, bo.runtime...)
+func New(cfg domains.Config) (*MGridVM, error) {
+	vm, def := assemble(cfg)
+	p, err := core.Build(def, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("mgridvm: %w", err)
 	}
-	vm.Platform = p
-	// The armPolicy action carries the reserve threshold into the MHB's
-	// autonomic context; seed the telemetry variables so symptoms are
-	// observable from the start.
-	p.Broker.Context().Set("batteryCharge", 1e9)
-	p.Broker.Context().Set("reserveKWh", 0.0)
+	vm.attach(p, false)
 	return vm, nil
 }
 
 // Restoring an MGridVM from a runtime.Checkpoint snapshot goes through
 // the bundle registry: domains.Restore("mgrid", snapshot, cfg) — the
 // single registry-driven restore path that replaced the per-domain
-// copies. Checkpointed context values win over the construction-time
-// telemetry seeds: the seeds fill only the keys the snapshot does not
-// carry.
+// copies.
 
 // assemble wires the MGridVM shell (clock + simulated plant) and the
-// MD-DSM definition that Build and Restore share.
-func assemble(opts []Option) (*MGridVM, core.Definition, *buildOptions) {
-	var bo buildOptions
-	for _, o := range opts {
-		o(&bo)
-	}
+// MD-DSM definition that New and the bundle share.
+func assemble(cfg domains.Config) (*MGridVM, core.Definition) {
 	clock := simtime.NewVirtual()
 	vm := &MGridVM{Clock: clock}
 	vm.Plant = microgrid.NewPlant(clock, func(e microgrid.Event) {
@@ -350,11 +306,27 @@ func assemble(opts []Option) (*MGridVM, core.Definition, *buildOptions) {
 			Adapters:   map[string]broker.Adapter{"plant": NewAdapter(vm.Plant)},
 		},
 		Clock:      clock,
-		Obs:        bo.obs,
-		Injector:   bo.injector,
-		Resilience: bo.resilience,
+		Obs:        cfg.Obs,
+		Injector:   cfg.Injector,
+		Resilience: cfg.Resilience,
 	}
-	return vm, def, &bo
+	return vm, def
+}
+
+// attach binds a built or restored platform into the shell. The armPolicy
+// action carries the reserve threshold into the MHB's autonomic context;
+// attach seeds the telemetry variables so symptoms are observable from
+// the start. A restored snapshot's checkpointed values win: the seeds
+// fill only the keys it does not carry.
+func (vm *MGridVM) attach(p *runtime.Platform, restored bool) {
+	vm.Platform = p
+	ctx := p.Broker.Context()
+	if _, ok := ctx.Get("batteryCharge"); !ok || !restored {
+		ctx.Set("batteryCharge", 1e9)
+	}
+	if _, ok := ctx.Get("reserveKWh"); !ok || !restored {
+		ctx.Set("reserveKWh", 0.0)
+	}
 }
 
 // publishTelemetry copies the current plant telemetry into the MHB context.
@@ -380,7 +352,7 @@ func (vm *MGridVM) SyncTelemetry() error {
 // plant telemetry every interval. Stop it with vm.Platform.Stop (or
 // StopMonitor).
 func (vm *MGridVM) StartMonitoring(interval time.Duration) {
-	vm.Platform.Monitor(runtime.WithInterval(interval), runtime.WithProbe(vm.publishTelemetry))
+	vm.Platform.Monitor(interval, vm.publishTelemetry)
 }
 
 // SetReserve arms the autonomic battery reserve at the given kWh.

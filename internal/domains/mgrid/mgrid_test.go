@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/mddsm/mddsm/internal/core"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/resources/microgrid"
@@ -50,7 +51,7 @@ func homeModel(vm *MGridVM, t *testing.T) *metamodel.Model {
 
 func newVM(t *testing.T) *MGridVM {
 	t.Helper()
-	vm, err := New()
+	vm, err := New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/core"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
@@ -268,7 +269,7 @@ func newObjectNode(space *spaceres.Space, objectID string) (*runtime.Platform, e
 		Bind("*", "space")
 	return runtime.Build(b.Model(), runtime.Deps{
 		Adapters: map[string]broker.Adapter{"space": spaceAdapter{space: space}},
-	})
+	}, runtime.Config{})
 }
 
 // CentralModel authors the middleware model of the central controller node
@@ -295,22 +296,41 @@ type SSVM struct {
 	Hub      *Hub
 }
 
-// New builds a 2SVM deployment.
-func New() (*SSVM, error) {
+// New builds a 2SVM deployment configured by cfg: the same assembly the
+// registered "smartspace" bundle runs.
+func New(cfg domains.Config) (*SSVM, error) {
+	vm, def := assemble(cfg)
+	p, err := core.Build(def, cfg.Runtime)
+	if err != nil {
+		return nil, fmt.Errorf("2svm: %w", err)
+	}
+	vm.attach(p, false)
+	return vm, nil
+}
+
+// assemble wires the 2SVM shell (a fabric over a fresh space) and the
+// MD-DSM definition of its central platform that New and the bundle
+// share.
+func assemble(cfg domains.Config) (*SSVM, core.Definition) {
 	hub := NewHub()
 	def := core.Definition{
 		Name:       "2svm",
-		DSML:       Metamodel(),
-		Middleware: CentralModel(),
+		DSML:       sharedDSML(),
+		Middleware: sharedCentral(),
 		DSK: core.DSK{
 			LTSes:    map[string]*lts.LTS{LTSName: SynthesisLTS()},
 			Adapters: map[string]broker.Adapter{"hub": hub},
 		},
+		Obs:        cfg.Obs,
+		Injector:   cfg.Injector,
+		Resilience: cfg.Resilience,
 	}
-	p, err := core.Build(def)
-	if err != nil {
-		return nil, fmt.Errorf("2svm: %w", err)
-	}
-	hub.central = func(e broker.Event) { _ = p.DeliverEvent(e) }
-	return &SSVM{Platform: p, Hub: hub}, nil
+	return &SSVM{Hub: hub}, def
+}
+
+// attach binds a built or restored central platform into the shell: the
+// fabric escalates space events to it.
+func (vm *SSVM) attach(p *runtime.Platform, _ bool) {
+	vm.Platform = p
+	vm.Hub.central = func(e broker.Event) { _ = p.DeliverEvent(e) }
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/core"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/script"
 )
@@ -25,7 +26,7 @@ func TestDefinitionValidates(t *testing.T) {
 
 func newSSVM(t *testing.T) *SSVM {
 	t.Helper()
-	vm, err := New()
+	vm, err := New(domains.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

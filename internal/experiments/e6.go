@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/domains/csense"
 	"github.com/mddsm/mddsm/internal/domains/mgrid"
@@ -46,7 +47,7 @@ func e6Fail(r E6Result, err error) E6Result {
 func runE6CVM() E6Result {
 	r := E6Result{Domain: "communication", Platform: "CVM",
 		Layers: "UCI+SE+UCM+NCB", Scenario: "two-party audio session"}
-	vm, err := cml.New()
+	vm, err := cml.New(domains.Config{})
 	if err != nil {
 		return e6Fail(r, err)
 	}
@@ -64,7 +65,7 @@ func runE6CVM() E6Result {
 func runE6MGrid() E6Result {
 	r := E6Result{Domain: "smart microgrid", Platform: "MGridVM",
 		Layers: "MUI+MSE+MCM+MHB", Scenario: "home plant provisioning"}
-	vm, err := mgrid.New()
+	vm, err := mgrid.New(domains.Config{})
 	if err != nil {
 		return e6Fail(r, err)
 	}
@@ -82,7 +83,7 @@ func runE6SmartSpace() E6Result {
 	r := E6Result{Domain: "smart spaces", Platform: "2SVM",
 		Layers:   "central SUI+SSE+SMW+SDB; nodes MW+BR (suppressed)",
 		Scenario: "enter-triggered rule"}
-	vm, err := smartspace.New()
+	vm, err := smartspace.New(domains.Config{})
 	if err != nil {
 		return e6Fail(r, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/mddsm/mddsm/internal/broker"
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/obs"
@@ -33,12 +34,12 @@ func MeasureObs() ([]ObsPhase, *obs.Obs, error) {
 // retried rather than failing the run).
 func measureObs(inj *fault.Injector) ([]ObsPhase, *obs.Obs, error) {
 	o := obs.New()
-	opts := []cml.Option{cml.WithObs(o)}
+	cfg := domains.Config{Obs: o}
 	if inj != nil {
 		inj.BindMetrics(o.MetricsOf())
-		opts = append(opts, cml.WithFault(inj), cml.WithResilience(fault.DefaultResilience()))
+		cfg.Injector, cfg.Resilience = inj, fault.DefaultResilience()
 	}
-	vm, err := cml.New(opts...)
+	vm, err := cml.New(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("obs: %w", err)
 	}

@@ -860,9 +860,13 @@ func (c *Conn) PostEvent(ev broker.Event) error {
 }
 
 // Control sends an administrative verb to a multiplexed server, retrying
-// transient transport failures. Like commands, the caller's verbs must be
-// idempotent to be safe to replay — the cluster verbs (join, heartbeat,
-// sequence-deduped forwards, epoch-guarded migrations) are designed so.
+// transient transport failures. Like commands, a verb is safe to replay
+// only if it is idempotent. Among the cluster verbs, join, heartbeat,
+// place and replicate are idempotent, and forwards are deduplicated by
+// sequence number; exec re-runs its command on a replay. Migrate is not
+// replay-safe: if the target adopted the tenant but the reply was lost,
+// the retried adoption fails with "tenant exists", the sender rolls back
+// by re-adopting locally, and both nodes then own the tenant.
 func (c *Conn) Control(verb, tenant string, args map[string]any) (map[string]any, error) {
 	var attrs map[string]any
 	err := c.do(func(cli *Client) error {

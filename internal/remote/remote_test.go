@@ -46,7 +46,7 @@ func nodePlatform(t testing.TB, r *rec) *runtime.Platform {
 		Bind("*", "main")
 	p, err := runtime.Build(b.Model(), runtime.Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
-	})
+	}, runtime.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

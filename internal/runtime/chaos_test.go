@@ -45,7 +45,7 @@ func buildChaos(t testing.TB, in *fault.Injector) (*Platform, *rec, *obs.Metrics
 		Metrics:    m,
 		Injector:   in,
 		Resilience: chaosResilience(),
-	})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,7 @@ func chaosCycle(t *testing.T, seed int64) []string {
 	// probe, counting instead of crashing; after the fault budget is spent
 	// the probe runs normally again.
 	probeRuns := make(chan struct{}, 16)
-	stop := p.Monitor(
-		WithInterval(time.Millisecond),
-		WithProbe(func() { probeRuns <- struct{}{} }),
-	)
+	stop := p.Monitor(time.Millisecond, func() { probeRuns <- struct{}{} })
 	select {
 	case <-probeRuns:
 	case <-time.After(5 * time.Second):
@@ -244,15 +241,12 @@ func TestPumpPostDropFault(t *testing.T) {
 func TestMonitorSurvivesPanickingProbe(t *testing.T) {
 	p, _, m := buildChaos(t, fault.NewInjector(1))
 	calls := 0
-	stop := p.Monitor(
-		WithInterval(time.Millisecond),
-		WithProbe(func() {
-			calls++
-			if calls <= 2 {
-				panic("sensor exploded")
-			}
-		}),
-	)
+	stop := p.Monitor(time.Millisecond, func() {
+		calls++
+		if calls <= 2 {
+			panic("sensor exploded")
+		}
+	})
 	deadline := time.After(5 * time.Second)
 	for m.Counter(obs.MMonitorTicks).Value() < 4 {
 		select {
@@ -324,7 +318,7 @@ func TestShardedPumpChaosOrderingUnderRace(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, WithPumpShards(4), WithShardKey("key"), WithPumpQueue(posters*perPoster))
+	}, Config{PumpShards: 4, ShardKey: "key", PumpQueue: posters * perPoster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +330,7 @@ func TestShardedPumpChaosOrderingUnderRace(t *testing.T) {
 	go func() {
 		defer close(cycles)
 		for c := 0; c < 5; c++ {
-			stop := p.Monitor(WithInterval(time.Millisecond))
+			stop := p.Monitor(time.Millisecond, nil)
 			time.Sleep(2 * time.Millisecond)
 			stop()
 			p.Stop()

@@ -1,21 +1,14 @@
-// Config is the unified tuning surface of a platform. Five PRs accreted
-// one functional option per knob (WithPumpQueue, WithPumpShards,
-// WithShardKey, WithDrainTimeout, WithDLQCapacity, WithSupervisor,
-// WithExternalEvents); a caller that wants to carry a
-// tuning profile around — a CLI flag set, a per-tenant quota in
-// mddsm-serve — had to haul a []Option. Config collapses the surface into
-// one documented struct with Defaults() and Validate(); the functional
-// options survive as thin wrappers over the same fields, so every existing
-// caller compiles unchanged and the two styles compose (options applied
-// after WithConfig override it field by field).
+// Config is the one tuning surface of a platform: Build, Restore and
+// RestoreSnapshot take it by value, and a bundle carries it in
+// domains.Config.Runtime. A caller that carries a tuning profile around —
+// a CLI flag set, a per-tenant quota in mddsm-serve — passes one
+// comparable struct, documented here with its Defaults() and Validate().
 
 package runtime
 
 import (
 	"fmt"
 	"time"
-
-	"github.com/mddsm/mddsm/internal/broker"
 )
 
 // DLQDisabled is the DLQCapacity sentinel that turns dead-lettering off:
@@ -24,11 +17,10 @@ import (
 // disabling must be explicit.
 const DLQDisabled = -1
 
-// Config collects every platform tunable previously reachable only through
-// functional options. The zero value of each field means "use the
-// default"; start from Defaults() to see (and override) the resolved
-// values explicitly. Negative values are invalid except where a sentinel
-// is documented (DLQCapacity).
+// Config collects every platform tunable. The zero value of each field
+// means "use the default"; start from Defaults() to see (and override)
+// the resolved values explicitly. Negative values are invalid except
+// where a sentinel is documented (DLQCapacity).
 type Config struct {
 	// PumpQueue is each pump shard's queue capacity (default 256).
 	// PostEvent reports false and counts a rejection when the target
@@ -66,32 +58,22 @@ type Config struct {
 	// identical to full validation. Requires the DSML to compile; a
 	// non-compiling DSML silently keeps the full-validation path.
 	DeltaValidation bool
-
-	// ExternalEvents routes events escaping the topmost layer to the
-	// given observer (interoperability bridges attach here).
-	ExternalEvents func(broker.Event)
-
-	// MonitorInterval is the autonomic monitor's default evaluation
-	// period (default 1s); Monitor's WithInterval option overrides it per
-	// call.
-	MonitorInterval time.Duration
 }
 
 // Defaults returns the resolved default configuration — the exact values a
 // zero Config builds with, spelled out.
 func Defaults() Config {
 	return Config{
-		PumpQueue:       256,
-		PumpShards:      0, // GOMAXPROCS at Start
-		ShardKey:        "",
-		DrainTimeout:    5 * time.Second,
-		DLQCapacity:     256,
-		MonitorInterval: time.Second,
+		PumpQueue:    256,
+		PumpShards:   0, // GOMAXPROCS at Start
+		ShardKey:     "",
+		DrainTimeout: 5 * time.Second,
+		DLQCapacity:  256,
 	}
 }
 
-// Validate rejects configurations no option could have expressed: negative
-// capacities (except the DLQDisabled sentinel), shard counts or durations.
+// Validate rejects negative capacities (except the DLQDisabled sentinel),
+// shard counts and durations.
 func (c Config) Validate() error {
 	if c.PumpQueue < 0 {
 		return fmt.Errorf("runtime config: PumpQueue %d < 0", c.PumpQueue)
@@ -104,9 +86,6 @@ func (c Config) Validate() error {
 	}
 	if c.DLQCapacity < DLQDisabled {
 		return fmt.Errorf("runtime config: DLQCapacity %d < %d (use DLQDisabled to disable)", c.DLQCapacity, DLQDisabled)
-	}
-	if c.MonitorInterval < 0 {
-		return fmt.Errorf("runtime config: MonitorInterval %v < 0", c.MonitorInterval)
 	}
 	return nil
 }
@@ -125,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.DLQCapacity == 0 {
 		c.DLQCapacity = d.DLQCapacity
 	}
-	if c.MonitorInterval == 0 {
-		c.MonitorInterval = d.MonitorInterval
-	}
 	return c
 }
 
@@ -140,14 +116,5 @@ func (c Config) dlqCapacity() int {
 	return c.DLQCapacity
 }
 
-// WithConfig replaces the platform's whole configuration. It composes with
-// the single-field options: options applied after WithConfig override its
-// fields, options applied before are overwritten. An invalid Config fails
-// Build rather than being silently clamped.
-func WithConfig(cfg Config) Option {
-	return func(p *Platform) { p.cfg = cfg }
-}
-
-// Config returns the platform's resolved configuration (defaults applied,
-// options folded in).
+// Config returns the platform's resolved configuration (defaults applied).
 func (p *Platform) Config() Config { return p.cfg }

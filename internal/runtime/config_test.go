@@ -27,7 +27,7 @@ func TestConfigDefaults(t *testing.T) {
 	if d.PumpQueue != 256 || d.DLQCapacity != 256 {
 		t.Errorf("capacity defaults: %+v", d)
 	}
-	if d.DrainTimeout != 5*time.Second || d.MonitorInterval != time.Second {
+	if d.DrainTimeout != 5*time.Second {
 		t.Errorf("duration defaults: %+v", d)
 	}
 	if err := d.Validate(); err != nil {
@@ -37,22 +37,29 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("zero Config must validate: %v", err)
 	}
 	// The zero config resolves to exactly the documented defaults.
-	if got := (Config{}).withDefaults(); !configEq(got, d) {
+	if got := (Config{}).withDefaults(); got != d {
 		t.Errorf("zero config resolved to %+v, want %+v", got, d)
 	}
-}
-
-// configEq compares two Configs field by field (Config is not comparable:
-// ExternalEvents is a func).
-func configEq(a, b Config) bool {
-	return a.PumpQueue == b.PumpQueue &&
-		a.PumpShards == b.PumpShards &&
-		a.ShardKey == b.ShardKey &&
-		a.DrainTimeout == b.DrainTimeout &&
-		a.DLQCapacity == b.DLQCapacity &&
-		a.Supervisor == b.Supervisor &&
-		a.DeltaValidation == b.DeltaValidation &&
-		a.MonitorInterval == b.MonitorInterval
+	// A platform keeps the Config it was built with, defaults applied.
+	deps := Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}}
+	set := Config{
+		PumpQueue:       17,
+		PumpShards:      3,
+		ShardKey:        "room",
+		DrainTimeout:    250 * time.Millisecond,
+		DLQCapacity:     9,
+		Supervisor:      SupervisorConfig{DegradeAfter: 7},
+		DeltaValidation: true,
+	}
+	for _, cfg := range []Config{{}, set} {
+		p, err := Build(brokerOnlyModel("cfg-kept"), deps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Config(), cfg.withDefaults(); got != want {
+			t.Errorf("Build(%+v).Config() = %+v, want %+v", cfg, got, want)
+		}
+	}
 }
 
 func TestConfigValidateRejects(t *testing.T) {
@@ -61,7 +68,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{PumpShards: -2},
 		{DrainTimeout: -time.Second},
 		{DLQCapacity: -2},
-		{MonitorInterval: -time.Minute},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -73,68 +79,33 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 	// An invalid config fails Build instead of being clamped.
 	if _, err := Build(brokerOnlyModel("cfg-invalid"), Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}},
-		WithConfig(Config{PumpQueue: -5})); err == nil {
+		Config{PumpQueue: -5}); err == nil {
 		t.Fatal("Build accepted an invalid config")
 	}
 }
 
-// TestConfigMatchesOptions proves every option-built platform is
-// reproducible through Config alone — the acceptance bar for the unified
-// API — by comparing the resolved Config of both constructions.
-func TestConfigMatchesOptions(t *testing.T) {
-	sup := SupervisorConfig{DegradeAfter: 7}
-	deps := Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}}
-
-	viaOpts, err := Build(brokerOnlyModel("cfg-opts"), deps,
-		WithPumpQueue(17), WithPumpShards(3), WithShardKey("room"),
-		WithDrainTimeout(250*time.Millisecond), WithDLQCapacity(9),
-		WithSupervisor(sup), WithDeltaValidation(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCfg, err := Build(brokerOnlyModel("cfg-struct"), deps, WithConfig(Config{
-		PumpQueue:       17,
-		PumpShards:      3,
-		ShardKey:        "room",
-		DrainTimeout:    250 * time.Millisecond,
-		DLQCapacity:     9,
-		Supervisor:      sup,
-		DeltaValidation: true,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := viaOpts.Config(), viaCfg.Config(); !configEq(a, b) {
-		t.Errorf("option-built config %+v != struct-built config %+v", a, b)
-	}
-	if got := viaCfg.Config().MonitorInterval; got != time.Second {
-		t.Errorf("unset MonitorInterval resolved to %v, want 1s", got)
-	}
-}
-
-// TestConfigDLQDisabled pins the sentinel mapping: WithDLQCapacity(0) and
-// DLQCapacity: DLQDisabled both produce a platform with no dead-lettering.
+// TestConfigDLQDisabled pins the DLQCapacity mapping: DLQDisabled builds a
+// platform with no dead-lettering, while 0 — the zero value — means the
+// default capacity of 256.
 func TestConfigDLQDisabled(t *testing.T) {
 	deps := Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}}
-	for name, opt := range map[string]Option{
-		"option": WithDLQCapacity(0),
-		"config": WithConfig(Config{DLQCapacity: DLQDisabled}),
-		"override": func() Option { // option after WithConfig wins
-			return func(p *Platform) {
-				WithConfig(Config{DLQCapacity: 99})(p)
-				WithDLQCapacity(0)(p)
-			}
-		}(),
+	for _, c := range []struct {
+		name          string
+		in, resolved  int
+		queueCapacity int
+	}{
+		{"disabled", DLQDisabled, DLQDisabled, 0},
+		{"zero-is-default", 0, 256, 256},
 	} {
-		p, err := Build(brokerOnlyModel("dlq-"+name), deps, opt)
+		p, err := Build(brokerOnlyModel("dlq-"+c.name), deps, Config{DLQCapacity: c.in})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := p.Config().DLQCapacity; got != DLQDisabled {
-			t.Errorf("%s: DLQCapacity = %d, want DLQDisabled", name, got)
+		if got := p.Config().DLQCapacity; got != c.resolved {
+			t.Errorf("%s: DLQCapacity = %d, want %d", c.name, got, c.resolved)
 		}
-		if p.dlq.cap != 0 {
-			t.Errorf("%s: dlq capacity = %d, want 0", name, p.dlq.cap)
+		if p.dlq.cap != c.queueCapacity {
+			t.Errorf("%s: dlq capacity = %d, want %d", c.name, p.dlq.cap, c.queueCapacity)
 		}
 	}
 }
@@ -153,7 +124,7 @@ func TestConfigPumpQuota(t *testing.T) {
 		Bind("*", "main")
 	p, err := Build(b.Model(),
 		Deps{Adapters: map[string]broker.Adapter{"main": blocked}, Metrics: m},
-		WithConfig(Config{PumpQueue: 1, PumpShards: 1}))
+		Config{PumpQueue: 1, PumpShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 //
 // The pump is N independent shards, each a bounded queue drained by its
 // own delivery goroutine. PostEvent routes every event to a shard by its
-// shard key — a configurable event attribute (WithShardKey), falling back
+// shard key — a configurable event attribute (Config.ShardKey), falling back
 // to the event name — so events sharing a key are delivered strictly in
 // post order while events with different keys flow concurrently. A slow
 // resource adapter therefore stalls only the shard its events hash to,
@@ -10,7 +10,7 @@
 //
 // Shutdown is a graceful drain: Stop closes the intake (further posts are
 // counted rejections), delivers everything already queued, and after a
-// bounded drain deadline (WithDrainTimeout) counts anything still queued
+// bounded drain deadline (Config.DrainTimeout) counts anything still queued
 // as a drop. Rejections are intake refusals — the event was never
 // accepted; every accepted event is accounted exactly once, so
 //

@@ -25,7 +25,7 @@ func buildPumpAllocPlatform(t testing.TB, shards int) (*Platform, *obs.Counter) 
 	p, err := Build(b.Model(), Deps{
 		Adapters: map[string]broker.Adapter{"main": ad},
 		Metrics:  m,
-	}, WithPumpShards(shards), WithShardKey("src"), WithPumpQueue(4096))
+	}, Config{PumpShards: shards, ShardKey: "src", PumpQueue: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

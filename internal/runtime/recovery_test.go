@@ -101,9 +101,10 @@ func TestCrashRecoveryChaos(t *testing.T) {
 			// Single shard: deliveries happen in post order, so the fault
 			// budgets land deterministically. High supervisor thresholds:
 			// quarantine/restart behaviour has its own test.
-			p, err := Build(fullModel(t), chaosDeps(t, r, m, in),
-				WithPumpShards(1),
-				WithSupervisor(SupervisorConfig{DegradeAfter: 500, QuarantineAfter: 1000}))
+			p, err := Build(fullModel(t), chaosDeps(t, r, m, in), Config{
+				PumpShards: 1,
+				Supervisor: SupervisorConfig{DegradeAfter: 500, QuarantineAfter: 1000},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestCrashRecoveryChaos(t *testing.T) {
 
 			m2 := obs.NewMetrics()
 			r2 := &poisonRec{} // healed: never armed
-			p2, err := Restore(snap, chaosDeps(t, r2, m2, nil))
+			p2, err := Restore(snap, chaosDeps(t, r2, m2, nil), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,14 +231,15 @@ func TestSupervisorRestartsQuarantinedPump(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	},
-		WithPumpShards(1),
-		WithSupervisor(SupervisorConfig{
+	}, Config{
+		PumpShards: 1,
+		Supervisor: SupervisorConfig{
 			DegradeAfter:    1,
 			QuarantineAfter: 2,
 			PanicWeight:     1,
 			Backoff:         fault.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2},
-		}))
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestDLQRedeliverRequeue(t *testing.T) {
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
 		Injector: in,
-	}, WithPumpShards(1))
+	}, Config{PumpShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestStartStopPostStart(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, WithPumpShards(1))
+	}, Config{PumpShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +368,13 @@ func TestLifecycleGoroutineLeak(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	r := &rec{}
 	deps := chaosDeps(t, r, obs.NewMetrics(), nil)
-	p, err := Build(fullModel(t), deps)
+	p, err := Build(fullModel(t), deps, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cycle := 0; cycle < 3; cycle++ {
 		p.Start()
-		p.Monitor(WithInterval(time.Millisecond))
+		p.Monitor(time.Millisecond, nil)
 		for i := 0; i < 5; i++ {
 			p.PostEvent(broker.Event{Name: "streamFailed",
 				Attrs: map[string]any{"stream": fmt.Sprintf("c%d-%d", cycle, i)}})
@@ -382,7 +384,7 @@ func TestLifecycleGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Stop()
-		if p, err = Restore(snap, deps); err != nil {
+		if p, err = Restore(snap, deps, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +400,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	r := &rec{}
 	deps := chaosDeps(t, r, m, nil)
 	deps.Resilience = chaosResilience() // enable breakers
-	p, err := Build(fullModel(t), deps)
+	p, err := Build(fullModel(t), deps, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +421,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	}
 	rdeps := chaosDeps(t, &rec{}, obs.NewMetrics(), nil)
 	rdeps.Resilience = chaosResilience() // breakers must exist to re-trip
-	p2, err := Restore(snap, rdeps)
+	p2, err := Restore(snap, rdeps, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +455,7 @@ func TestSnapshotValueRestoresLikeBytes(t *testing.T) {
 		d.Resilience = res
 		return d
 	}
-	p, err := Build(fullModel(t), deps(&rec{}))
+	p, err := Build(fullModel(t), deps(&rec{}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,11 +480,11 @@ func TestSnapshotValueRestoresLikeBytes(t *testing.T) {
 	}
 
 	fromValue, fromBytes := &rec{}, &rec{}
-	pv, err := RestoreSnapshot(snap, deps(fromValue))
+	pv, err := RestoreSnapshot(snap, deps(fromValue), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := Restore(data, deps(fromBytes))
+	pb, err := Restore(data, deps(fromBytes), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +536,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			"middleware": {"metamodel": "mw-mm", "objects": []},
 			"synthesis": {"appModel": {"metamodel": "toy-dsml"}, "seq": 1, "ltsState": "run"}}`),
 	} {
-		if _, err := Restore(data, deps); err == nil {
+		if _, err := Restore(data, deps, Config{}); err == nil {
 			t.Errorf("%s: Restore accepted a bad snapshot", name)
 		}
 	}

@@ -117,8 +117,8 @@ type Platform struct {
 	metrics  *obs.Metrics
 	injector *fault.Injector
 
-	// cfg is the platform's resolved configuration (Defaults folded with
-	// WithConfig and the single-field options).
+	// cfg is the platform's resolved configuration (the Config it was
+	// built with, defaults applied).
 	cfg Config
 
 	// model is the validated middleware model the platform was built from,
@@ -147,82 +147,10 @@ type Platform struct {
 	pump    *pump
 	monStop chan struct{}
 	monDone chan struct{}
-	monOpts []MonitorOption
-}
-
-// Option customises platform construction. Every option is a thin wrapper
-// over one Config field; WithConfig sets them all at once.
-type Option func(*Platform)
-
-// WithExternalEvents routes events escaping the topmost layer to fn.
-func WithExternalEvents(fn func(broker.Event)) Option {
-	return func(p *Platform) { p.cfg.ExternalEvents = fn }
-}
-
-// WithPumpQueue sets each pump shard's queue capacity (default 256).
-// PostEvent reports false and counts a drop when the target shard's queue
-// is full.
-func WithPumpQueue(n int) Option {
-	return func(p *Platform) {
-		if n > 0 {
-			p.cfg.PumpQueue = n
-		}
-	}
-}
-
-// WithPumpShards sets the event pump's shard count (default GOMAXPROCS).
-// Each shard owns a bounded queue and a delivery goroutine; events sharing
-// a shard key are delivered strictly in post order, events on different
-// shards concurrently.
-func WithPumpShards(n int) Option {
-	return func(p *Platform) {
-		if n > 0 {
-			p.cfg.PumpShards = n
-		}
-	}
-}
-
-// WithShardKey names the event attribute the pump shards by. Events
-// carrying the attribute are routed by its value; events without it (and
-// the default, attr == "") fall back to a hash of the event name.
-func WithShardKey(attr string) Option {
-	return func(p *Platform) { p.cfg.ShardKey = attr }
-}
-
-// WithDrainTimeout bounds Stop's graceful drain (default 5s): events
-// still queued when the deadline expires are abandoned as counted drops.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(p *Platform) {
-		if d > 0 {
-			p.cfg.DrainTimeout = d
-		}
-	}
-}
-
-// WithDLQCapacity bounds the dead-letter queue (default 256). Zero
-// disables dead-lettering entirely: failed deliveries then revert to
-// counted terminal losses ("pump.deliver.failures").
-func WithDLQCapacity(n int) Option {
-	return func(p *Platform) {
-		switch {
-		case n > 0:
-			p.cfg.DLQCapacity = n
-		case n == 0:
-			p.cfg.DLQCapacity = DLQDisabled
-		}
-	}
-}
-
-// WithSupervisor tunes the watchdog supervisor's health thresholds and
-// restart backoff; the zero config's defaults apply otherwise.
-func WithSupervisor(cfg SupervisorConfig) Option {
-	return func(p *Platform) { p.cfg.Supervisor = cfg }
-}
-
-// WithDeltaValidation switches the Synthesis layer to incremental delta
-// validation of submissions (see Config.DeltaValidation).
-func WithDeltaValidation(on bool) Option {
-	return func(p *Platform) { p.cfg.DeltaValidation = on }
+	// monInterval and monProbe are the running monitor's arguments, kept
+	// for the supervisor's restart; monInterval is 0 when no monitor runs.
+	monInterval time.Duration
+	monProbe    func()
 }
 
 // SetExternalEvents installs (or replaces) the external event observer
@@ -243,31 +171,28 @@ func (p *Platform) externalSink() func(broker.Event) {
 // checks cross-layer consistency, and instantiates the platform. The
 // validation runs on a copy (it applies defaults), which the platform
 // keeps; the caller's model stays intact and may be edited afterwards.
-func Build(model *metamodel.Model, deps Deps, opts ...Option) (*Platform, error) {
+func Build(model *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
 	work := model.Clone()
 	if err := work.Validate(mwmeta.MM()); err != nil {
 		return nil, fmt.Errorf("runtime: middleware model does not conform: %w", err)
 	}
-	return build(work, deps, opts)
+	return build(work, deps, cfg)
 }
 
 // build instantiates the platform from a middleware model in validated
-// form, which the platform keeps and never modifies.
-func build(work *metamodel.Model, deps Deps, opts []Option) (*Platform, error) {
+// form, which the platform keeps and never modifies. An invalid cfg fails
+// the build rather than being clamped.
+func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
 	p := &Platform{
 		tracer:    deps.Tracer,
 		metrics:   deps.Metrics,
 		injector:  deps.Injector,
 		routeErrs: map[uint64]error{},
+		cfg:       cfg.withDefaults(),
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	if err := p.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	p.cfg = p.cfg.withDefaults()
-	p.external = p.cfg.ExternalEvents
 	platforms := work.ObjectsOf(mwmeta.ClassPlatform)
 	if len(platforms) != 1 {
 		return nil, fmt.Errorf("runtime: middleware model must declare exactly one Platform, got %d", len(platforms))
@@ -746,10 +671,10 @@ func (p *Platform) DeliverEvent(ev broker.Event) error {
 }
 
 // Start launches the platform's event pump: PostEvent routes resource
-// events onto N shards (WithPumpShards, default GOMAXPROCS), each drained
-// by its own goroutine into the Broker layer. Events sharing a shard key
-// are delivered strictly in post order. Start also arms the watchdog
-// supervisor. Start is idempotent.
+// events onto N shards (Config.PumpShards, default GOMAXPROCS), each
+// drained by its own goroutine into the Broker layer. Events sharing a
+// shard key are delivered strictly in post order. Start also arms the
+// watchdog supervisor. Start is idempotent.
 func (p *Platform) Start() {
 	p.pumpMu.Lock()
 	p.started = true
@@ -792,8 +717,9 @@ func (p *Platform) PostEvent(ev broker.Event) bool {
 // Stop shuts any autonomic monitor down, disarms the supervisor (waiting
 // out any in-flight restart), then drains the event pump: intake closes
 // (further posts are counted rejections), queued events are delivered
-// until the drain deadline (WithDrainTimeout), and anything abandoned past
-// it is a counted drop — no accepted event leaves the pump unaccounted.
+// until the drain deadline (Config.DrainTimeout), and anything abandoned
+// past it is a counted drop — no accepted event leaves the pump
+// unaccounted.
 // Stop is idempotent.
 func (p *Platform) Stop() {
 	p.StopMonitor()
@@ -840,97 +766,59 @@ func (p *Platform) restartPump() error {
 }
 
 // restartMonitor is the supervisor's restart hook for the autonomic
-// monitor: it bounces the loop with the options it was started with. A
-// deliberately stopped monitor (no saved options) stays stopped.
+// monitor: it bounces the loop with the interval and probe it was started
+// with. A deliberately stopped monitor (no saved interval) stays stopped.
 func (p *Platform) restartMonitor() error {
 	p.pumpMu.Lock()
-	opts := p.monOpts
+	interval, probe := p.monInterval, p.monProbe
 	p.pumpMu.Unlock()
-	if opts == nil {
+	if interval == 0 {
 		return nil
 	}
 	p.StopMonitor()
-	p.Monitor(opts...)
+	p.Monitor(interval, probe)
 	return nil
 }
 
-// monitorConfig collects the autonomic monitor's options.
-type monitorConfig struct {
-	interval time.Duration
-	probe    func()
-	tracer   *obs.Tracer
-	metrics  *obs.Metrics
-}
+// defaultMonitorInterval is the monitor's evaluation period when Monitor
+// is given none.
+const defaultMonitorInterval = time.Second
 
-// MonitorOption customises the autonomic monitor started by Monitor.
-type MonitorOption func(*monitorConfig)
-
-// WithInterval sets the monitor's evaluation period (default 1s).
-func WithInterval(d time.Duration) MonitorOption {
-	return func(c *monitorConfig) {
-		if d > 0 {
-			c.interval = d
-		}
-	}
-}
-
-// WithProbe installs a function run before each symptom evaluation,
-// typically publishing telemetry into the Broker context.
-func WithProbe(fn func()) MonitorOption {
-	return func(c *monitorConfig) { c.probe = fn }
-}
-
-// WithObs overrides the observability pair recording the monitor's tick
-// spans and counters; the platform's own pair is used by default.
-func WithObs(t *obs.Tracer, m *obs.Metrics) MonitorOption {
-	return func(c *monitorConfig) {
-		c.tracer = t
-		c.metrics = m
-	}
-}
-
-// Monitor launches the platform's autonomic monitor: every interval it
-// runs the probe (when one is installed) and then evaluates the Broker's
-// autonomic symptoms. Monitor is idempotent while a monitor runs: the
-// running monitor keeps its original options, the new ones are ignored
-// entirely (no counters are registered on their obs pair), and the
-// returned stop function (also available as StopMonitor) terminates the
-// already-running loop and waits for it to exit.
-func (p *Platform) Monitor(opts ...MonitorOption) (stop func()) {
+// Monitor launches the platform's autonomic monitor: every interval (1s
+// when interval <= 0) it runs the probe, when one is given, and then
+// evaluates the Broker's autonomic symptoms. Ticks and spans go to the
+// platform's own tracer and metrics. Monitor is idempotent while a
+// monitor runs: the running monitor keeps its interval and probe, the new
+// ones are ignored, and the returned stop function (also available as
+// StopMonitor) terminates the already-running loop and waits for it to
+// exit.
+func (p *Platform) Monitor(interval time.Duration, probe func()) (stop func()) {
 	p.pumpMu.Lock()
 	if p.monStop != nil {
 		p.pumpMu.Unlock()
 		return p.StopMonitor
 	}
-	cfg := monitorConfig{
-		interval: p.cfg.MonitorInterval,
-		tracer:   p.tracer,
-		metrics:  p.metrics,
+	if interval <= 0 {
+		interval = defaultMonitorInterval
 	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ticks := cfg.metrics.Counter(obs.MMonitorTicks)
-	probeFail := cfg.metrics.Counter(obs.MProbeFailures)
-	evalFail := cfg.metrics.Counter(obs.MEvalFailures)
-	if opts == nil {
-		opts = []MonitorOption{} // non-nil: "started with defaults" ≠ "never started"
-	}
-	p.monOpts = opts
+	ticks := p.metrics.Counter(obs.MMonitorTicks)
+	probeFail := p.metrics.Counter(obs.MProbeFailures)
+	evalFail := p.metrics.Counter(obs.MEvalFailures)
+	p.monInterval, p.monProbe = interval, probe
 	p.monStop = make(chan struct{})
 	p.monDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		ticker := time.NewTicker(cfg.interval)
+		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
-				sp := cfg.tracer.Start(obs.SpanMonitorTick)
+				sp := p.tracer.Start(obs.SpanMonitorTick)
 				ticks.Inc()
 				healthy := true
-				if cfg.probe != nil {
-					if ran, panicked := p.runProbe(cfg.probe); !ran {
+				if probe != nil {
+					if ran, panicked := p.runProbe(probe); !ran {
 						probeFail.Inc()
 						healthy = false
 						if panicked {
@@ -980,7 +868,7 @@ func (p *Platform) runProbe(probe func()) (ok, panicked bool) {
 }
 
 // StopMonitor terminates the autonomic monitor and waits for it to exit.
-// It also forgets the monitor's saved options, so the supervisor will not
+// It also forgets the monitor's interval and probe, so the supervisor will not
 // resurrect a deliberately stopped monitor. It is idempotent and safe when
 // no monitor is running.
 func (p *Platform) StopMonitor() {
@@ -988,7 +876,7 @@ func (p *Platform) StopMonitor() {
 	stop, done := p.monStop, p.monDone
 	p.monStop = nil
 	p.monDone = nil
-	p.monOpts = nil
+	p.monInterval, p.monProbe = 0, nil
 	p.pumpMu.Unlock()
 	if stop == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,7 +123,7 @@ func buildFull(t testing.TB) (*Platform, *rec) {
 		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
 		Adapters:   map[string]broker.Adapter{"main": r},
 		Repository: toyRepo(t),
-	})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +251,11 @@ func TestLayerSuppressionControllerBroker(t *testing.T) {
 	var escaped []broker.Event
 	p, err := Build(b.Model(), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
-	}, WithExternalEvents(func(e broker.Event) { escaped = append(escaped, e) }))
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetExternalEvents(func(e broker.Event) { escaped = append(escaped, e) })
 	if p.UI != nil || p.Synthesis != nil {
 		t.Fatal("suppressed layers must be nil")
 	}
@@ -279,7 +281,7 @@ func TestLayerSuppressionControllerBroker(t *testing.T) {
 func TestExecuteWithoutController(t *testing.T) {
 	b := mwmeta.NewBuilder("broker-only", "d")
 	b.BrokerLayer("broker").Action("any", "*", "").Bind("*", "main")
-	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}})
+	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": &rec{}}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +297,20 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	t.Run("nonconforming model", func(t *testing.T) {
 		m := metamodel.NewModel(mwmeta.Name)
 		m.NewObject("x", "Bogus")
-		if _, err := Build(m, Deps{}); err == nil || !strings.Contains(err.Error(), "conform") {
+		if _, err := Build(m, Deps{}, Config{}); err == nil || !strings.Contains(err.Error(), "conform") {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("no platform", func(t *testing.T) {
 		m := metamodel.NewModel(mwmeta.Name)
-		if _, err := Build(m, Deps{}); err == nil || !strings.Contains(err.Error(), "exactly one Platform") {
+		if _, err := Build(m, Deps{}, Config{}); err == nil || !strings.Contains(err.Error(), "exactly one Platform") {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("controller without broker", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.ControllerLayer("c")
-		_, err := Build(b.Model(), Deps{})
+		_, err := Build(b.Model(), Deps{}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "requires a BrokerLayer") {
 			t.Errorf("got %v", err)
 		}
@@ -317,7 +319,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.SynthesisLayer("s", "sem")
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "requires a ControllerLayer") {
 			t.Errorf("got %v", err)
 		}
@@ -327,7 +329,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b.UILayer("u")
 		b.ControllerLayer("c")
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "requires a SynthesisLayer") {
 			t.Errorf("got %v", err)
 		}
@@ -336,7 +338,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.Model().NewObject("lay", mwmeta.ClassUILayer).SetAttr("name", "u")
 		b.Model().Get("platform").AddRef("layers", "lay")
-		_, err := Build(b.Model(), Deps{DSML: dsml})
+		_, err := Build(b.Model(), Deps{DSML: dsml}, Config{})
 		if err == nil {
 			t.Error("want error")
 		}
@@ -344,7 +346,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	t.Run("unknown adapter", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.BrokerLayer("br").Bind("*", "ghost")
-		_, err := Build(b.Model(), Deps{})
+		_, err := Build(b.Model(), Deps{}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "unknown adapter") {
 			t.Errorf("got %v", err)
 		}
@@ -354,7 +356,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b.SynthesisLayer("s", "ghost")
 		b.ControllerLayer("c").Done()
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{DSML: dsml, Adapters: adapters})
+		_, err := Build(b.Model(), Deps{DSML: dsml, Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "unknown LTS") {
 			t.Errorf("got %v", err)
 		}
@@ -364,7 +366,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b.SynthesisLayer("s", "sem")
 		b.ControllerLayer("c").Done()
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters, LTSes: map[string]*lts.LTS{"sem": toyLTS()}})
+		_, err := Build(b.Model(), Deps{Adapters: adapters, LTSes: map[string]*lts.LTS{"sem": toyLTS()}}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "no DSML") {
 			t.Errorf("got %v", err)
 		}
@@ -373,7 +375,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.ControllerLayer("c").Class("x", "op.ghost").Done()
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "no procedure repository") {
 			t.Errorf("got %v", err)
 		}
@@ -382,7 +384,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.ControllerLayer("c").Class("x", "op.ghost").Done()
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters, Repository: toyRepo(t)})
+		_, err := Build(b.Model(), Deps{Adapters: adapters, Repository: toyRepo(t)}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "not in taxonomy") {
 			t.Errorf("got %v", err)
 		}
@@ -390,7 +392,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	t.Run("bad guard expression", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.BrokerLayer("br").Action("a", "x", "((").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "guard") {
 			t.Errorf("got %v", err)
 		}
@@ -398,7 +400,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	t.Run("bad policy condition", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.BrokerLayer("br").Policy(mwmeta.PolicySpec{Name: "p", Condition: "(("}).Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "policy") {
 			t.Errorf("got %v", err)
 		}
@@ -406,7 +408,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	t.Run("bad symptom condition", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.BrokerLayer("br").Symptom("s", "((").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "symptom") {
 			t.Errorf("got %v", err)
 		}
@@ -422,7 +424,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 			o.AddRef("eventActions", ev.ID)
 		}
 		_, err := Build(b.Model(), Deps{Adapters: adapters,
-			Scripts: map[string]*script.Script{"s": script.New("s")}})
+			Scripts: map[string]*script.Script{"s": script.New("s")}}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "Controller-layer feature") {
 			t.Errorf("got %v", err)
 		}
@@ -431,7 +433,7 @@ func TestBuildConsistencyErrors(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
 		b.ControllerLayer("c").EventAction("e", "ev", "", false, "ghost").Done()
 		b.BrokerLayer("br").Bind("*", "main")
-		_, err := Build(b.Model(), Deps{Adapters: adapters})
+		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "unknown installed script") {
 			t.Errorf("got %v", err)
 		}
@@ -471,7 +473,7 @@ func TestCallerModelNotMutatedByDefaults(t *testing.T) {
 		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
 		Adapters:   map[string]broker.Adapter{"main": &rec{}},
 		Repository: toyRepo(t),
-	}); err != nil {
+	}, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := metamodel.MarshalModel(m)
@@ -533,16 +535,16 @@ func TestAutonomicMonitorLoop(t *testing.T) {
 			mwmeta.StepSpec{Op: "{op}", Target: "{target}"}).
 		Bind("*", "main")
 	r := &rec{}
-	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}})
+	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pressure := 0
-	p.Monitor(WithInterval(2*time.Millisecond), WithProbe(func() {
+	p.Monitor(2*time.Millisecond, func() {
 		pressure += 6
 		p.Broker.Context().Set("pressure", pressure)
-	}))
-	p.Monitor(WithInterval(time.Hour)) // idempotent
+	})
+	p.Monitor(time.Hour, nil) // idempotent
 	defer p.Stop()
 
 	deadline := time.After(2 * time.Second)
@@ -593,7 +595,7 @@ func TestEventActionGuardAndForwardFromModel(t *testing.T) {
 			mwmeta.StepSpec{Op: "{op}", Target: "{target}"}).
 		Bind("*", "main")
 	r := &rec{}
-	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}})
+	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +611,7 @@ func TestEventActionGuardAndForwardFromModel(t *testing.T) {
 	b2.BrokerLayer("brk").
 		EventAction("broken", "tick", "((", false).
 		Bind("*", "main")
-	if _, err := Build(b2.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}}); err == nil {
+	if _, err := Build(b2.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}}, Config{}); err == nil {
 		t.Error("bad event guard must fail the build")
 	}
 }
@@ -628,7 +630,7 @@ func TestPolicyEffectsFromModel(t *testing.T) {
 	p, err := Build(b.Model(), Deps{
 		Adapters:   map[string]broker.Adapter{"main": &rec{}},
 		Repository: toyRepo(t),
-	})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +675,7 @@ func TestPostEventQueueFullDrops(t *testing.T) {
 		Repository: toyRepo(t),
 		Tracer:     o.TracerOf(),
 		Metrics:    o.MetricsOf(),
-	}, WithPumpQueue(1))
+	}, Config{PumpQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,21 +738,21 @@ func TestMonitorOptions(t *testing.T) {
 			mwmeta.StepSpec{Op: "{op}", Target: "{target}"}).
 		Bind("*", "main")
 	r := &rec{}
-	p, err := Build(b.Model(), Deps{Adapters: map[string]broker.Adapter{"main": r}})
+	o := obs.New()
+	p, err := Build(b.Model(), Deps{
+		Adapters: map[string]broker.Adapter{"main": r},
+		Tracer:   o.TracerOf(),
+		Metrics:  o.MetricsOf(),
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New()
 	pressure := 0
-	stop := p.Monitor(
-		WithInterval(2*time.Millisecond),
-		WithProbe(func() {
-			pressure += 6
-			p.Broker.Context().Set("pressure", pressure)
-		}),
-		WithObs(o.TracerOf(), o.MetricsOf()),
-	)
-	p.Monitor(WithInterval(time.Hour)) // idempotent while running
+	stop := p.Monitor(2*time.Millisecond, func() {
+		pressure += 6
+		p.Broker.Context().Set("pressure", pressure)
+	})
+	p.Monitor(time.Hour, nil) // idempotent while running
 	defer p.Stop()
 
 	deadline := time.After(2 * time.Second)
@@ -767,10 +769,18 @@ func TestMonitorOptions(t *testing.T) {
 		t.Errorf("plan steps: %s", got)
 	}
 	if o.MetricsOf().CounterValue(obs.MMonitorTicks) == 0 {
-		t.Error("monitor ticks not counted in the WithObs pair")
+		t.Error("monitor ticks not counted in the platform's obs pair")
 	}
 	if o.TracerOf().Count(obs.SpanMonitorTick) == 0 {
-		t.Error("monitor tick spans not recorded in the WithObs pair")
+		t.Error("monitor tick spans not recorded in the platform's obs pair")
+	}
+	// An interval <= 0 means the 1s default.
+	p.Monitor(0, nil)
+	p.pumpMu.Lock()
+	interval := p.monInterval
+	p.pumpMu.Unlock()
+	if interval != time.Second {
+		t.Errorf("Monitor(0, nil) runs every %v, want 1s", interval)
 	}
 }
 
@@ -784,7 +794,7 @@ func TestObsEndToEnd(t *testing.T) {
 		Repository: toyRepo(t),
 		Tracer:     o.TracerOf(),
 		Metrics:    o.MetricsOf(),
-	})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +901,7 @@ func TestStopDrainsQueuedEvents(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, WithPumpQueue(K), WithPumpShards(4), WithShardKey("key"))
+	}, Config{PumpQueue: K, PumpShards: 4, ShardKey: "key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -925,7 +935,7 @@ func TestStopDrainDeadlineAbandonsAsDrops(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": b},
 		Metrics:  m,
-	}, WithPumpQueue(8), WithPumpShards(1), WithDrainTimeout(30*time.Millisecond))
+	}, Config{PumpQueue: 8, PumpShards: 1, DrainTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -974,7 +984,7 @@ func TestDeliverFailureNotCountedDelivered(t *testing.T) {
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
 		Injector: in,
-	}, WithPumpShards(2), WithShardKey("key"))
+	}, Config{PumpShards: 2, ShardKey: "key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1008,7 +1018,7 @@ func TestPerShardMetrics(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, WithPumpShards(shards), WithShardKey("key"), WithPumpQueue(K))
+	}, Config{PumpShards: shards, ShardKey: "key", PumpQueue: K})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1048,7 +1058,7 @@ func TestPerKeyOrderingAcrossShards(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, WithPumpShards(4), WithShardKey("key"), WithPumpQueue(keys*perKey))
+	}, Config{PumpShards: 4, ShardKey: "key", PumpQueue: keys * perKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1094,18 +1104,25 @@ func assertOrderedPerKey(t *testing.T, lines []string) {
 }
 
 // TestMonitorIdempotentIgnoresNewOptions: a second Monitor call while one
-// runs must not register counters on the new options' obs pair — the
-// running monitor's configuration stays untouched.
+// runs leaves the running monitor's interval and probe untouched — the
+// second probe never runs — and the stop it returns still controls the
+// running loop.
 func TestMonitorIdempotentIgnoresNewOptions(t *testing.T) {
 	p, _ := buildFull(t)
-	stop := p.Monitor(WithInterval(time.Millisecond))
+	var first, second atomic.Int32
+	stop := p.Monitor(time.Millisecond, func() { first.Add(1) })
 	defer stop()
-	o2 := obs.New()
-	stop2 := p.Monitor(WithInterval(time.Hour), WithObs(o2.TracerOf(), o2.MetricsOf()))
-	if strings.Contains(o2.MetricsOf().Snapshot(), obs.MMonitorTicks) {
-		t.Error("second Monitor call registered counters on the ignored obs pair")
+	stop2 := p.Monitor(time.Millisecond, func() { second.Add(1) })
+	waitFor(t, "three probes of the running monitor", func() bool { return first.Load() >= 3 })
+	if got := second.Load(); got != 0 {
+		t.Errorf("second Monitor call's probe ran %d times, want 0", got)
 	}
-	// The returned stop still controls the running monitor.
+	// The returned stop still controls the running monitor: once it has
+	// stopped the loop, a new Monitor call starts a fresh one.
 	stop2()
+	var third atomic.Int32
+	p.Monitor(time.Millisecond, func() { third.Add(1) })
+	waitFor(t, "a fresh monitor after the second call's stop", func() bool { return third.Load() > 0 })
+	p.StopMonitor()
 	p.StopMonitor() // idempotent after stop
 }

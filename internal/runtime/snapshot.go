@@ -255,12 +255,12 @@ func SnapshotsEquivalent(a, b []byte) (bool, error) {
 
 // Restore rebuilds a platform from Checkpoint bytes: DecodeSnapshot,
 // then RestoreSnapshot.
-func Restore(data []byte, deps Deps, opts ...Option) (*Platform, error) {
+func Restore(data []byte, deps Deps, cfg Config) (*Platform, error) {
 	s, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	return RestoreSnapshot(s, deps, opts...)
+	return RestoreSnapshot(s, deps, cfg)
 }
 
 // RestoreSnapshot rebuilds a platform from a Snapshot: the snapshot's
@@ -274,12 +274,12 @@ func Restore(data []byte, deps Deps, opts ...Option) (*Platform, error) {
 // copied, and only a model that validation would change (a decoded one
 // whose numbers came back as JSON floats) is copied. The restored
 // platform is not started; call Start (and Monitor) as after Build.
-func RestoreSnapshot(s *Snapshot, deps Deps, opts ...Option) (*Platform, error) {
+func RestoreSnapshot(s *Snapshot, deps Deps, cfg Config) (*Platform, error) {
 	mw, err := s.middleware.Conform(mwmeta.MM())
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: middleware model does not conform: %w", err)
 	}
-	p, err := build(mw, deps, opts)
+	p, err := build(mw, deps, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}

@@ -23,7 +23,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		Adapters:   map[string]broker.Adapter{"main": r},
 		Repository: toyRepo(f),
 	}
-	p, err := Build(fullModel(f), deps)
+	p, err := Build(fullModel(f), deps, Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			Repository: toyRepo(t),
 			Metrics:    obs.NewMetrics(),
 		}
-		fp, err := Restore(data, fdeps)
+		fp, err := Restore(data, fdeps, Config{})
 		if err != nil {
 			return // rejected — the only acceptable failure mode
 		}

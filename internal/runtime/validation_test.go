@@ -46,7 +46,7 @@ func TestValidationRejectsNonConformant(t *testing.T) {
 	}
 	build := func(t *testing.T) *Platform {
 		t.Helper()
-		p, err := Build(middleware(true), deps)
+		p, err := Build(middleware(true), deps, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestValidationRejectsNonConformant(t *testing.T) {
 		if data, err = json.Marshal(doc); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Restore(data, deps)
+		_, err = Restore(data, deps, Config{})
 		return err
 	}
 
@@ -86,7 +86,7 @@ func TestValidationRejectsNonConformant(t *testing.T) {
 		admit func(t *testing.T, conform bool) error
 	}{
 		{"Build", func(t *testing.T, conform bool) error {
-			_, err := Build(middleware(conform), deps)
+			_, err := Build(middleware(conform), deps, Config{})
 			return err
 		}},
 		{"Submit", func(t *testing.T, conform bool) error {
@@ -154,7 +154,7 @@ func TestBuildValidatesMiddlewareOnce(t *testing.T) {
 	}
 	for i := 1; i <= 2; i++ {
 		before := walks()
-		if _, err := Build(mw, deps); err != nil {
+		if _, err := Build(mw, deps, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		if n := walks() - before; n != 1 {
@@ -288,7 +288,7 @@ func TestRestoreReplaysValidation(t *testing.T) {
 	}
 	for i := 1; i <= 2; i++ {
 		before := walks()
-		if _, err := Restore(snap, deps); err != nil {
+		if _, err := Restore(snap, deps, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		if n := walks() - before; n != 2 {

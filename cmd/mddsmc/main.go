@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -29,27 +30,28 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mddsmc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one subcommand, writing its results to out.
+func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: mddsmc <validate|validate-middleware|diff|export-middleware-metamodel> [flags]")
+		return fmt.Errorf("usage: mddsmc <validate|validate-middleware|diff|export-middleware-metamodel|coverage> [flags]")
 	}
 	switch args[0] {
 	case "validate":
-		return cmdValidate(args[1:])
+		return cmdValidate(args[1:], out)
 	case "validate-middleware":
-		return cmdValidateMiddleware(args[1:])
+		return cmdValidateMiddleware(args[1:], out)
 	case "diff":
-		return cmdDiff(args[1:])
+		return cmdDiff(args[1:], out)
 	case "export-middleware-metamodel":
-		return cmdExportMM()
+		return cmdExportMM(out)
 	case "coverage":
-		return cmdCoverage(args[1:])
+		return cmdCoverage(args[1:], out)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -71,7 +73,7 @@ func loadModel(path string) (*metamodel.Model, error) {
 	return metamodel.UnmarshalModel(data)
 }
 
-func cmdValidate(args []string) error {
+func cmdValidate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	mmPath := fs.String("metamodel", "", "metamodel JSON")
 	mPath := fs.String("model", "", "model JSON")
@@ -92,11 +94,11 @@ func cmdValidate(args []string) error {
 	if err := m.Validate(mm); err != nil {
 		return fmt.Errorf("model does not conform to %s: %w", mm.Name, err)
 	}
-	fmt.Printf("ok: %d objects conform to metamodel %s\n", m.Len(), mm.Name)
-	return nil
+	_, err = fmt.Fprintf(out, "ok: %d objects conform to metamodel %s\n", m.Len(), mm.Name)
+	return err
 }
 
-func cmdValidateMiddleware(args []string) error {
+func cmdValidateMiddleware(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("validate-middleware", flag.ContinueOnError)
 	mPath := fs.String("model", "", "middleware model JSON")
 	if err := fs.Parse(args); err != nil {
@@ -112,11 +114,11 @@ func cmdValidateMiddleware(args []string) error {
 	if err := m.Validate(mwmeta.MM()); err != nil {
 		return fmt.Errorf("middleware model does not conform: %w", err)
 	}
-	fmt.Printf("ok: middleware model with %d objects conforms to %s\n", m.Len(), mwmeta.Name)
-	return nil
+	_, err = fmt.Fprintf(out, "ok: middleware model with %d objects conforms to %s\n", m.Len(), mwmeta.Name)
+	return err
 }
 
-func cmdDiff(args []string) error {
+func cmdDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	mmPath := fs.String("metamodel", "", "metamodel JSON (optional, validates both sides)")
 	oldPath := fs.String("old", "", "old model JSON")
@@ -149,11 +151,11 @@ func cmdDiff(args []string) error {
 	}
 	changes := metamodel.Diff(oldM, newM)
 	if changes.Empty() {
-		fmt.Println("models are equivalent")
-		return nil
+		_, err = fmt.Fprintln(out, "models are equivalent")
+		return err
 	}
-	fmt.Println(changes)
-	return nil
+	_, err = fmt.Fprintln(out, changes)
+	return err
 }
 
 // builtinDefinitions maps domain names to their MD-DSM definitions for the
@@ -187,7 +189,7 @@ func builtinDefinitions() map[string]core.Definition {
 
 // cmdCoverage prints the DSML-support assurance report for a built-in
 // domain definition (core.AnalyzeCoverage).
-func cmdCoverage(args []string) error {
+func cmdCoverage(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("coverage", flag.ContinueOnError)
 	domain := fs.String("domain", "cvm", "built-in domain definition to analyse")
 	if err := fs.Parse(args); err != nil {
@@ -207,18 +209,20 @@ func cmdCoverage(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("domain %s:\n%s", *domain, cov)
+	if _, err := fmt.Fprintf(out, "domain %s:\n%s", *domain, cov); err != nil {
+		return err
+	}
 	if !cov.Complete() {
 		return fmt.Errorf("domain %s has unroutable operations", *domain)
 	}
 	return nil
 }
 
-func cmdExportMM() error {
+func cmdExportMM(out io.Writer) error {
 	data, err := metamodel.MarshalMetamodel(mwmeta.MM())
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(append(data, '\n'))
+	_, err = out.Write(append(data, '\n'))
 	return err
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +22,7 @@ func data(t *testing.T, name string) string {
 func TestValidateOK(t *testing.T) {
 	err := run([]string{"validate",
 		"-metamodel", data(t, "toy-metamodel.json"),
-		"-model", data(t, "toy-model-a.json")})
+		"-model", data(t, "toy-model-a.json")}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestValidateRejectsBadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := run([]string{"validate",
-		"-metamodel", data(t, "toy-metamodel.json"), "-model", bad})
+		"-metamodel", data(t, "toy-metamodel.json"), "-model", bad}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "does not conform") {
 		t.Fatalf("got %v", err)
 	}
@@ -43,14 +45,14 @@ func TestDiff(t *testing.T) {
 	err := run([]string{"diff",
 		"-metamodel", data(t, "toy-metamodel.json"),
 		"-old", data(t, "toy-model-a.json"),
-		"-new", data(t, "toy-model-b.json")})
+		"-new", data(t, "toy-model-b.json")}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Self-diff reports equivalence.
 	err = run([]string{"diff",
 		"-old", data(t, "toy-model-a.json"),
-		"-new", data(t, "toy-model-a.json")})
+		"-new", data(t, "toy-model-a.json")}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +69,20 @@ func TestValidateMiddleware(t *testing.T) {
 	if err := os.WriteFile(mw, []byte(content), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"validate-middleware", "-model", mw}); err != nil {
+	if err := run([]string{"validate-middleware", "-model", mw}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"metamodel":"x","objects":[{"id":"a","class":"Bogus"}]}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"validate-middleware", "-model", bad}); err == nil {
+	if err := run([]string{"validate-middleware", "-model", bad}, io.Discard); err == nil {
 		t.Fatal("bad middleware model must fail")
 	}
 }
 
 func TestExportMiddlewareMetamodel(t *testing.T) {
-	if err := run([]string{"export-middleware-metamodel"}); err != nil {
+	if err := run([]string{"export-middleware-metamodel"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,9 +99,12 @@ func TestUsageErrors(t *testing.T) {
 		{"validate-middleware", "-model", "nope.json"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+	if err := run(nil, io.Discard); err == nil || !strings.Contains(err.Error(), "|coverage>") {
+		t.Errorf("usage error %v does not list the coverage subcommand", err)
 	}
 }
 
@@ -112,7 +117,7 @@ func TestDiffValidatesSides(t *testing.T) {
 	err := run([]string{"diff",
 		"-metamodel", data(t, "toy-metamodel.json"),
 		"-old", bad,
-		"-new", data(t, "toy-model-a.json")})
+		"-new", data(t, "toy-model-a.json")}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "old model") {
 		t.Fatalf("got %v", err)
 	}
@@ -120,11 +125,15 @@ func TestDiffValidatesSides(t *testing.T) {
 
 func TestCoverageSubcommand(t *testing.T) {
 	for _, d := range []string{"cvm", "mgridvm", "2svm", "csvm-provider", "csvm-device"} {
-		if err := run([]string{"coverage", "-domain", d}); err != nil {
+		var out bytes.Buffer
+		if err := run([]string{"coverage", "-domain", d}, &out); err != nil {
 			t.Errorf("coverage %s: %v", d, err)
 		}
+		if want := "domain " + d + ":\ncoverage: complete"; !strings.HasPrefix(out.String(), want) {
+			t.Errorf("coverage %s report:\n%s\nwant it to start with %q", d, out.String(), want)
+		}
 	}
-	if err := run([]string{"coverage", "-domain", "nope"}); err == nil {
+	if err := run([]string{"coverage", "-domain", "nope"}, io.Discard); err == nil {
 		t.Error("unknown domain must fail")
 	}
 }

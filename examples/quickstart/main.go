@@ -89,7 +89,9 @@ func run() error {
 		return nil
 	})
 
-	platform, err := core.Build(core.Definition{
+	// Check the definition once; any number of platforms can then be
+	// built from it, each bound to its own resources.
+	def, err := core.Check(core.Definition{
 		Name:       "quickstart",
 		DSML:       dsml,
 		Middleware: b.Model(),
@@ -97,8 +99,13 @@ func run() error {
 			Taxonomy:   tax,
 			Procedures: procs,
 			LTSes:      map[string]*lts.LTS{"greet-sem": sem},
-			Adapters:   map[string]broker.Adapter{"display": display},
 		},
+	})
+	if err != nil {
+		return err
+	}
+	platform, err := core.Build(def, core.Bindings{
+		Adapters: map[string]broker.Adapter{"display": display},
 	}, runtime.Config{})
 	if err != nil {
 		return err

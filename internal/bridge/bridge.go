@@ -59,8 +59,7 @@ func MapRule(name, event, guardSrc string, cmd script.Template, target Dispatch)
 // source platforms; rules fire in declaration order and every matching
 // rule runs (a single event may fan out to several targets).
 type Bridge struct {
-	name  string
-	funcs map[string]expr.Func
+	name string
 
 	mu       sync.Mutex
 	rules    []Rule
@@ -69,7 +68,7 @@ type Bridge struct {
 
 // New creates an empty bridge.
 func New(name string) *Bridge {
-	return &Bridge{name: name, funcs: expr.StdFuncs()}
+	return &Bridge{name: name}
 }
 
 // AddRule appends a mapping rule.
@@ -112,7 +111,7 @@ func (b *Bridge) OnEvent(ev broker.Event) {
 			continue
 		}
 		if r.Guard != nil {
-			ok, err := expr.EvalBool(r.Guard, expr.Env{Scope: scope, Funcs: b.funcs})
+			ok, err := expr.EvalBool(r.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				b.recordFailure(r.Name, ev.Name, fmt.Errorf("guard: %w", err))
 				continue

@@ -86,7 +86,7 @@ func (a *Autonomic) Evaluate() error {
 	scope := acquireScope()
 	defer releaseScope(scope)
 	a.broker.context.SnapshotInto(scope)
-	env := expr.Env{Scope: scope, Funcs: a.broker.funcs}
+	env := expr.Env{Scope: scope, Funcs: expr.StdFuncs()}
 
 	type firing struct {
 		req  ChangeRequest

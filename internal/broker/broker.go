@@ -237,7 +237,6 @@ type Broker struct {
 	events    []*EventAction
 	autonomic *Autonomic
 	notify    func(Event) // upward event propagation (to Controller)
-	funcs     map[string]expr.Func
 
 	tracer            *obs.Tracer
 	mCalls            *obs.Counter
@@ -270,7 +269,6 @@ func New(cfg Config, resources *ResourceManager, notify func(Event)) *Broker {
 		actions:   cfg.Actions,
 		events:    cfg.EventActions,
 		notify:    notify,
-		funcs:     expr.StdFuncs(),
 		tracer:    cfg.Tracer,
 		mCalls:    cfg.Metrics.Counter(obs.MBrokerCalls),
 		mSteps:    cfg.Metrics.Counter(obs.MBrokerSteps),
@@ -354,7 +352,7 @@ func (b *Broker) selectAction(op string, scope expr.MapScope) (*Action, error) {
 			continue
 		}
 		if a.Guard != nil {
-			ok, err := expr.EvalBool(a.Guard, expr.Env{Scope: scope, Funcs: b.funcs})
+			ok, err := expr.EvalBool(a.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				return nil, fmt.Errorf("broker %s: action %s: guard: %w", b.name, a.Name, err)
 			}
@@ -596,7 +594,7 @@ func (b *Broker) processEvent(ev Event) error {
 			continue
 		}
 		if ea.Guard != nil {
-			ok, err := expr.EvalBool(ea.Guard, expr.Env{Scope: scope, Funcs: b.funcs})
+			ok, err := expr.EvalBool(ea.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				return fmt.Errorf("broker %s: event action %s: guard: %w", b.name, ea.Name, err)
 			}

@@ -127,10 +127,10 @@ type Controller struct {
 	events   []*EventAction
 	classes  map[string]string
 	injector *fault.Injector
+	repo     *registry.Repository
 	gen      *intent.Generator
 	machine  *eu.Machine
 	notify   func(broker.Event)
-	funcs    map[string]expr.Func
 
 	tracer    *obs.Tracer
 	mCommands *obs.Counter
@@ -178,7 +178,6 @@ func New(cfg Config, b BrokerAPI, notify func(broker.Event)) *Controller {
 		classes:   make(map[string]string, len(cfg.Classes)),
 		injector:  cfg.Injector,
 		notify:    notify,
-		funcs:     expr.StdFuncs(),
 		tracer:    cfg.Tracer,
 		mCommands: cfg.Metrics.Counter(obs.MControllerCommands),
 		mScripts:  cfg.Metrics.Counter(obs.MScriptsExecuted),
@@ -192,6 +191,7 @@ func New(cfg Config, b BrokerAPI, notify func(broker.Event)) *Controller {
 		c.classes[cl.Op] = cl.GoalDSC
 	}
 	if cfg.Repository != nil {
+		c.repo = cfg.Repository
 		c.gen = intent.NewGenerator(cfg.Repository, c.engine, cfg.Generator)
 	}
 	var charger eu.TimeCharger
@@ -213,6 +213,10 @@ func (c *Controller) Name() string { return c.name }
 
 // Context returns the layer's context-variable store.
 func (c *Controller) Context() *policy.Context { return c.context }
+
+// Repository returns the procedure repository intent generation draws
+// on, nil without one. Platforms of one domain share it; it is read-only.
+func (c *Controller) Repository() *registry.Repository { return c.repo }
 
 // Stats returns a copy of the activity counters, folding in generator
 // statistics.
@@ -380,7 +384,7 @@ func (c *Controller) findAction(op string, scope expr.MapScope) (*Action, error)
 			continue
 		}
 		if a.Guard != nil {
-			ok, err := expr.EvalBool(a.Guard, expr.Env{Scope: scope, Funcs: c.funcs})
+			ok, err := expr.EvalBool(a.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				return nil, fmt.Errorf("action %s: guard: %w", a.Name, err)
 			}
@@ -515,7 +519,7 @@ func (c *Controller) processEvent(ev broker.Event) error {
 			continue
 		}
 		if ea.Guard != nil {
-			ok, err := expr.EvalBool(ea.Guard, expr.Env{Scope: scope, Funcs: c.funcs})
+			ok, err := expr.EvalBool(ea.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				return fmt.Errorf("controller %s: event action %s: guard: %w", c.name, ea.Name, err)
 			}

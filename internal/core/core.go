@@ -11,11 +11,15 @@
 //     synthesis transition systems, installed scripts and resource
 //     adapters — that the generated middleware interprets.
 //
-// A Definition pairs the two and Build turns it into a running platform,
-// after cross-checking their conformance: the middleware model must be a
-// valid instance of the middleware metamodel, the DSK must be internally
+// A Definition pairs the two, and no platform runs it before their
+// conformance is cross-checked: the middleware model must be a valid
+// instance of the middleware metamodel, the DSK must be internally
 // consistent, and the synthesis semantics must speak about classes and
-// features that actually exist in the application DSML.
+// features that actually exist in the application DSML. Check runs the
+// DSML and DSK checks once per definition and returns it in checked form,
+// which is immutable and shared by every platform of the domain. Build
+// and Restore bind it to one platform's own resources (Bindings) and walk
+// the middleware model that platform runs.
 package core
 
 import (
@@ -36,6 +40,8 @@ import (
 )
 
 // DSK is the domain-specific knowledge bundle for one application domain.
+// The resource adapters that complete it in the paper bind to one
+// platform's own resources, so they are given per platform, in Bindings.
 type DSK struct {
 	// Taxonomy is the domain's classifier hierarchy (required when
 	// Procedures is non-empty).
@@ -47,11 +53,10 @@ type DSK struct {
 	LTSes map[string]*lts.LTS
 	// Scripts holds installed scripts by name.
 	Scripts map[string]*script.Script
-	// Adapters holds resource adapters by name.
-	Adapters map[string]broker.Adapter
 }
 
-// Definition is a complete MD-DSM platform description.
+// Definition is a complete MD-DSM platform description. It describes a
+// domain, not one platform, so any number of platforms are built from it.
 type Definition struct {
 	// Name labels the definition in error messages.
 	Name string
@@ -61,6 +66,14 @@ type Definition struct {
 	Middleware *metamodel.Model
 	// DSK supplies the domain semantics.
 	DSK DSK
+}
+
+// Bindings is what one platform owns besides its definition: the resource
+// adapters over its own resources, its clock, and its observability,
+// fault-injection and resilience hooks.
+type Bindings struct {
+	// Adapters holds resource adapters by name.
+	Adapters map[string]broker.Adapter
 	// Clock charges virtual time; nil disables time accounting.
 	Clock simtime.Clock
 	// Obs observes every layer of the built platform (tracing + metrics);
@@ -108,7 +121,9 @@ func (d *Definition) checkMiddleware() error {
 // DSK declares no procedures).
 func (d *Definition) checkDSK() (*registry.Repository, error) {
 	if d.DSML != nil {
-		if err := d.DSML.Validate(); err != nil {
+		// Compiled validates the DSML once per version and memoises the
+		// verdict, which every Synthesis layer built over it then reuses.
+		if _, err := d.DSML.Compiled(); err != nil {
 			return nil, fmt.Errorf("definition %s: DSML: %w", d.Name, err)
 		}
 	}
@@ -135,7 +150,8 @@ func (d *Definition) checkDSK() (*registry.Repository, error) {
 }
 
 // buildRepository assembles the Controller's procedure repository from the
-// DSK. It returns nil (no repository) when the DSK declares no procedures.
+// DSK and seals it. It returns nil (no repository) when the DSK declares
+// no procedures.
 func (d *Definition) buildRepository() (*registry.Repository, error) {
 	if len(d.DSK.Procedures) == 0 {
 		return nil, nil
@@ -149,67 +165,83 @@ func (d *Definition) buildRepository() (*registry.Repository, error) {
 			return nil, err
 		}
 	}
+	repo.Seal()
 	return repo, nil
 }
 
-// Build validates the definition and instantiates the platform through the
-// generic runtime's component factory, tuned by cfg. The middleware model
-// is walked once: runtime.Build checks the copy the platform keeps.
-func Build(def Definition, cfg runtime.Config) (*runtime.Platform, error) {
+// Checked is a definition whose DSML and DSK passed Check, together with
+// the procedure repository the check built. It is immutable, so every
+// platform of the domain shares it — DSML, middleware model, taxonomy,
+// procedures, repository and LTS definitions — while each platform keeps
+// its own layer state, LTS instance, intent cache, event pump and ledgers.
+type Checked struct {
+	def  Definition
+	repo *registry.Repository
+}
+
+// Check runs Validate's checks of the DSML and the DSK once and returns
+// the definition in checked form, sealing its taxonomy and repository
+// against change. The definition's models, maps, procedures and LTSes
+// must not be modified afterwards. The middleware model is only required
+// to be present: Build walks it once per platform, and Restore runs the
+// snapshot's model instead.
+func Check(def Definition) (*Checked, error) {
 	if err := def.checkMiddleware(); err != nil {
 		return nil, err
 	}
-	deps, err := def.deps()
+	repo, err := def.checkDSK()
 	if err != nil {
 		return nil, err
 	}
-	p, err := runtime.Build(def.Middleware, deps, cfg)
+	if def.DSK.Taxonomy != nil {
+		def.DSK.Taxonomy.Seal()
+	}
+	return &Checked{def: def, repo: repo}, nil
+}
+
+// Build instantiates a platform of the checked definition through the
+// generic runtime's component factory, bound to b and tuned by cfg. The
+// DSML and the DSK were checked by Check; the middleware model is walked
+// once, as runtime.Build checks the copy the platform keeps.
+func Build(c *Checked, b Bindings, cfg runtime.Config) (*runtime.Platform, error) {
+	p, err := runtime.Build(c.def.Middleware, c.deps(b), cfg)
 	if err != nil {
-		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
+		return nil, fmt.Errorf("definition %s: %w", c.def.Name, err)
 	}
 	return p, nil
 }
 
-// Restore rebuilds a platform from a runtime.Snapshot (decoded from
-// Checkpoint bytes or captured in process), binding it to the definition's
-// DSK. It checks what the restored platform runs: the DSML and the DSK, as
-// Validate does, and the snapshot's middleware model, which replaces
-// def.Middleware as the platform structure (it is the model the
-// checkpointed platform actually ran). def.Middleware is neither checked
+// Restore rebuilds a platform of the checked definition from a
+// runtime.Snapshot (decoded from Checkpoint bytes or captured in
+// process), bound to b. The snapshot's middleware model replaces the
+// definition's as the platform structure (it is the model the
+// checkpointed platform actually ran); the definition's is neither walked
 // nor used. runtime.RestoreSnapshot walks the snapshot's middleware and
 // application models once each, in place, and shares them with the
 // restored platform when they are already in validated form.
-func Restore(def Definition, snap *runtime.Snapshot, cfg runtime.Config) (*runtime.Platform, error) {
-	deps, err := def.deps()
+func Restore(c *Checked, b Bindings, snap *runtime.Snapshot, cfg runtime.Config) (*runtime.Platform, error) {
+	p, err := runtime.RestoreSnapshot(snap, c.deps(b), cfg)
 	if err != nil {
-		return nil, err
-	}
-	p, err := runtime.RestoreSnapshot(snap, deps, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("definition %s: %w", def.Name, err)
+		return nil, fmt.Errorf("definition %s: %w", c.def.Name, err)
 	}
 	return p, nil
 }
 
-// deps checks the DSML and the DSK and binds them, with the clock and
-// hooks, into the runtime's dependency bundle.
-func (d *Definition) deps() (runtime.Deps, error) {
-	repo, err := d.checkDSK()
-	if err != nil {
-		return runtime.Deps{}, err
-	}
+// deps binds the checked DSML and DSK, with one platform's bindings, into
+// the runtime's dependency bundle.
+func (c *Checked) deps(b Bindings) runtime.Deps {
 	return runtime.Deps{
-		DSML:       d.DSML,
-		LTSes:      d.DSK.LTSes,
-		Adapters:   d.DSK.Adapters,
-		Repository: repo,
-		Scripts:    d.DSK.Scripts,
-		Clock:      d.Clock,
-		Tracer:     d.Obs.TracerOf(),
-		Metrics:    d.Obs.MetricsOf(),
-		Injector:   d.Injector,
-		Resilience: d.Resilience,
-	}, nil
+		DSML:       c.def.DSML,
+		LTSes:      c.def.DSK.LTSes,
+		Adapters:   b.Adapters,
+		Repository: c.repo,
+		Scripts:    c.def.DSK.Scripts,
+		Clock:      b.Clock,
+		Tracer:     b.Obs.TracerOf(),
+		Metrics:    b.Obs.MetricsOf(),
+		Injector:   b.Injector,
+		Resilience: b.Resilience,
+	}
 }
 
 // checkLTSConformance verifies that the model-change event patterns of an

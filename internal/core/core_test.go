@@ -71,7 +71,7 @@ func taxonomy() *dsc.Taxonomy {
 	return tx
 }
 
-func goodDef(t testing.TB, r *rec) Definition {
+func goodDef(t testing.TB) Definition {
 	t.Helper()
 	b := mwmeta.NewBuilder("task-vm", "tasks")
 	b.UILayer("ui")
@@ -95,15 +95,24 @@ func goodDef(t testing.TB, r *rec) Definition {
 				ID: "starter", ClassifiedBy: "op.start", Cost: 1,
 				Unit: eu.NewUnit("starter", eu.Invoke("svcStart", "{target}", "kind", "kind")),
 			}},
-			LTSes:    map[string]*lts.LTS{"sem": goodLTS()},
-			Adapters: map[string]broker.Adapter{"main": r},
+			LTSes: map[string]*lts.LTS{"sem": goodLTS()},
 		},
 	}
 }
 
+// build checks def and builds one platform of it, bound to r.
+func build(t testing.TB, def Definition, r *rec) (*runtime.Platform, error) {
+	t.Helper()
+	c, err := Check(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Build(c, Bindings{Adapters: map[string]broker.Adapter{"main": r}}, runtime.Config{})
+}
+
 func TestBuildAndRunEndToEnd(t *testing.T) {
 	r := &rec{}
-	p, err := Build(goodDef(t, r), runtime.Config{})
+	p, err := build(t, goodDef(t), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +151,7 @@ func TestValidateRejectsNonconformantLTS(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			r := &rec{}
-			def := goodDef(t, r)
+			def := goodDef(t)
 			l := goodLTS()
 			tt.add(l)
 			def.DSK.LTSes["sem"] = l
@@ -156,8 +164,7 @@ func TestValidateRejectsNonconformantLTS(t *testing.T) {
 }
 
 func TestValidateAcceptsWildcardsAndFreeEvents(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	l := goodLTS()
 	l.On("run", "*", "", "run")
 	l.On("run", "add-object:*", "", "run")
@@ -170,17 +177,15 @@ func TestValidateAcceptsWildcardsAndFreeEvents(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	r := &rec{}
-
 	t.Run("nil middleware", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		def.Middleware = nil
 		if err := def.Validate(); err == nil {
 			t.Error("want error")
 		}
 	})
 	t.Run("bad middleware model", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		def.Middleware = metamodel.NewModel(mwmeta.Name)
 		def.Middleware.NewObject("x", "Bogus")
 		if err := def.Validate(); err == nil || !strings.Contains(err.Error(), "middleware model") {
@@ -188,7 +193,7 @@ func TestValidateErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad dsml", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		bad := metamodel.New("bad")
 		bad.MustAddClass(&metamodel.Class{Name: "A", Super: "Ghost"})
 		def.DSML = bad
@@ -197,7 +202,7 @@ func TestValidateErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad taxonomy", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		tx := dsc.NewTaxonomy()
 		tx.MustAdd(&dsc.DSC{ID: "a", Parent: "ghost", Category: dsc.Operation})
 		def.DSK.Taxonomy = tx
@@ -206,14 +211,14 @@ func TestValidateErrors(t *testing.T) {
 		}
 	})
 	t.Run("procedures without taxonomy", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		def.DSK.Taxonomy = nil
 		if err := def.Validate(); err == nil || !strings.Contains(err.Error(), "no taxonomy") {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("bad procedure", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		def.DSK.Procedures = append(def.DSK.Procedures, &registry.Procedure{
 			ID: "bad", ClassifiedBy: "op.ghost",
 		})
@@ -222,7 +227,7 @@ func TestValidateErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad lts", func(t *testing.T) {
-		def := goodDef(t, r)
+		def := goodDef(t)
 		bad := lts.New("sem", "a")
 		bad.AddTransition(lts.Transition{From: "ghost", Event: "e", To: "a"})
 		def.DSK.LTSes["sem"] = bad
@@ -232,11 +237,38 @@ func TestValidateErrors(t *testing.T) {
 	})
 }
 
+// TestCheckSealsSharedParts: Check seals the taxonomy and the repository
+// every platform of the definition shares; Validate leaves the caller's
+// taxonomy open.
+func TestCheckSealsSharedParts(t *testing.T) {
+	def := goodDef(t)
+	if err := def.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := def.DSK.Taxonomy.Add(&dsc.DSC{ID: "op.extra", Category: dsc.Operation}); err != nil {
+		t.Fatalf("Validate sealed the taxonomy: %v", err)
+	}
+	c, err := Check(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := def.DSK.Taxonomy.Add(&dsc.DSC{ID: "op.more", Category: dsc.Operation}); err == nil {
+		t.Error("Add on a checked definition's taxonomy succeeded")
+	}
+	if err := c.repo.Remove("starter"); err == nil {
+		t.Error("Remove on a checked definition's repository succeeded")
+	}
+	if err := c.repo.Add(&registry.Procedure{ID: "more", ClassifiedBy: "op.start"}); err == nil {
+		t.Error("Add on a checked definition's repository succeeded")
+	}
+}
+
 func TestBuildPropagatesRuntimeErrors(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
-	delete(def.DSK.Adapters, "main")
-	_, err := Build(def, runtime.Config{})
+	c, err := Check(goodDef(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Build(c, Bindings{}, runtime.Config{})
 	if err == nil || !strings.Contains(err.Error(), "unknown adapter") {
 		t.Errorf("got %v", err)
 	}
@@ -244,7 +276,7 @@ func TestBuildPropagatesRuntimeErrors(t *testing.T) {
 
 func TestDefinitionWithoutProceduresBuildsNoRepository(t *testing.T) {
 	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	def.DSK.Procedures = nil
 	// Remove the command class that would then dangle.
 	for _, o := range def.Middleware.ObjectsOf(mwmeta.ClassCommandClass) {
@@ -257,7 +289,7 @@ func TestDefinitionWithoutProceduresBuildsNoRepository(t *testing.T) {
 			o.RemoveRef("classes", ref)
 		}
 	}
-	p, err := Build(def, runtime.Config{})
+	p, err := build(t, def, r)
 	if err != nil {
 		t.Fatal(err)
 	}

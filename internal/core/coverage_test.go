@@ -10,8 +10,7 @@ import (
 )
 
 func TestCoverageComplete(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	cov, err := AnalyzeCoverage(def)
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +30,7 @@ func TestCoverageComplete(t *testing.T) {
 }
 
 func TestCoverageDetectsUnroutableOp(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	// Add a synthesis rule emitting an op no Controller routes.
 	l := goodLTS()
 	l.On("run", "add-ref:Task.next", "", "run",
@@ -54,8 +52,7 @@ func TestCoverageDetectsUnroutableOp(t *testing.T) {
 }
 
 func TestCoverageCatchAllAction(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	// Replace the controller action with a catch-all.
 	b := mwmeta.NewBuilder("vm", "d")
 	b.UILayer("ui")
@@ -85,8 +82,7 @@ func TestCoverageCatchAllAction(t *testing.T) {
 }
 
 func TestCoverageUnhandledClasses(t *testing.T) {
-	r := &rec{}
-	def := goodDef(t, r)
+	def := goodDef(t)
 	// Extend the DSML with a class that has no synthesis semantics.
 	def.DSML.MustAddClass(&metamodel.Class{Name: "Note"})
 	cov, err := AnalyzeCoverage(def)

@@ -3,27 +3,42 @@ package cml
 import (
 	"sync"
 
+	"github.com/mddsm/mddsm/internal/core"
 	"github.com/mddsm/mddsm/internal/domains"
+	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/runtime"
 )
 
-// sharedDSML memoises the CML metamodel so every CVM shares one
-// *Metamodel — and with it the lazily compiled conformance validator,
-// instead of recompiling per tenant.
-var sharedDSML = sync.OnceValue(Metamodel)
-
-// sharedMiddleware memoises the authored CVM middleware model. It is never
-// modified: Build validates a copy, and a restore runs the snapshot's
-// model instead.
-var sharedMiddleware = sync.OnceValue(MiddlewareModel)
+// shared memoises the checked CVM definition: the CML metamodel (and with
+// it the lazily compiled conformance validator), the CVM middleware model,
+// the taxonomy, the procedures and their repository, and the synthesis
+// LTS. They are built and checked once, and every CVM shares them. None
+// of them is modified: Build validates a copy of the middleware model, and
+// a restore runs the snapshot's model instead.
+var shared = sync.OnceValues(func() (*core.Checked, error) {
+	return core.Check(core.Definition{
+		Name:       "cvm",
+		DSML:       Metamodel(),
+		Middleware: MiddlewareModel(),
+		DSK: core.DSK{
+			Taxonomy:   Taxonomy(),
+			Procedures: Procedures(),
+			LTSes:      map[string]*lts.LTS{LTSName: SynthesisLTS()},
+		},
+	})
+})
 
 func init() {
 	domains.Register(domains.Bundle{
 		Name: "cml",
 		Doc:  "communication platform (CVM): sessions, streams and attachments over a simulated comm service",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			vm, def := assemble(cfg)
-			return domains.NewInstance(def,
+			def, err := shared()
+			if err != nil {
+				return nil, err
+			}
+			vm, b := assemble(cfg)
+			return domains.NewInstance(def, b,
 				func() string { return vm.Service.Trace().String() },
 				func(p *runtime.Platform, _ bool) { vm.Platform = p },
 			), nil

@@ -300,7 +300,7 @@ func TestMiddlewareModelJSONRoundTripRebuildsWorkingPlatform(t *testing.T) {
 			_ = vm.Platform.DeliverEvent(e.Broker())
 		}
 	})
-	p, err := core.Build(core.Definition{
+	def, err := core.Check(core.Definition{
 		Name:       "cvm-from-json",
 		DSML:       Metamodel(),
 		Middleware: reloaded,
@@ -308,9 +308,14 @@ func TestMiddlewareModelJSONRoundTripRebuildsWorkingPlatform(t *testing.T) {
 			Taxonomy:   Taxonomy(),
 			Procedures: Procedures(),
 			LTSes:      map[string]*lts.LTS{LTSName: SynthesisLTS()},
-			Adapters:   map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
 		},
-		Clock: vm.Clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Build(def, core.Bindings{
+		Adapters: map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
+		Clock:    vm.Clock,
 	}, runtime.Config{})
 	if err != nil {
 		t.Fatal(err)

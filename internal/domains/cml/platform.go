@@ -6,7 +6,6 @@ import (
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/core"
 	"github.com/mddsm/mddsm/internal/domains"
-	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/resources/comm"
@@ -76,8 +75,12 @@ type CVM struct {
 // communication service are delivered synchronously into the NCB so tests
 // and scenarios are deterministic.
 func New(cfg domains.Config) (*CVM, error) {
-	vm, def := assemble(cfg)
-	p, err := core.Build(def, cfg.Runtime)
+	def, err := shared()
+	if err != nil {
+		return nil, fmt.Errorf("cvm: %w", err)
+	}
+	vm, b := assemble(cfg)
+	p, err := core.Build(def, b, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("cvm: %w", err)
 	}
@@ -89,9 +92,9 @@ func New(cfg domains.Config) (*CVM, error) {
 // bundle registry: domains.Restore("cml", snapshot, cfg) — the single
 // registry-driven restore path that replaced the per-domain copies.
 
-// assemble wires the CVM shell (virtual clock + simulated service) and the
-// MD-DSM definition that New and the bundle share.
-func assemble(cfg domains.Config) (*CVM, core.Definition) {
+// assemble wires the CVM shell (virtual clock + simulated service) and
+// the bindings of its platform, which New and the bundle share.
+func assemble(cfg domains.Config) (*CVM, core.Bindings) {
 	clock := simtime.NewVirtual()
 	vm := &CVM{Clock: clock}
 	vm.Service = comm.NewService(clock, func(e comm.Event) {
@@ -99,22 +102,13 @@ func assemble(cfg domains.Config) (*CVM, core.Definition) {
 			_ = vm.Platform.DeliverEvent(e.Broker())
 		}
 	})
-	def := core.Definition{
-		Name:       "cvm",
-		DSML:       sharedDSML(),
-		Middleware: sharedMiddleware(),
-		DSK: core.DSK{
-			Taxonomy:   Taxonomy(),
-			Procedures: Procedures(),
-			LTSes:      map[string]*lts.LTS{LTSName: SynthesisLTS()},
-			Adapters:   map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
-		},
+	return vm, core.Bindings{
+		Adapters:   map[string]broker.Adapter{"commService": NewAdapter(vm.Service)},
 		Clock:      clock,
 		Obs:        cfg.Obs,
 		Injector:   cfg.Injector,
 		Resilience: cfg.Resilience,
 	}
-	return vm, def
 }
 
 // NCBModel authors a broker-only middleware model: the NCB layer alone,

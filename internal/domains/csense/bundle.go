@@ -16,10 +16,31 @@ import (
 // conformance validator.
 var sharedDSML = sync.OnceValue(Metamodel)
 
-// sharedProvider memoises the authored provider middleware model. It is
-// never modified: Build validates a copy, and a restore runs the
-// snapshot's model instead.
-var sharedProvider = sync.OnceValue(ProviderModel)
+// sharedProvider memoises the checked provider definition: the CSML
+// metamodel, the provider middleware model and the provider LTS, checked
+// once and shared by every provider platform — bundle instances and
+// New's. None of them is modified: Build validates a copy of the
+// middleware model, and a restore runs the snapshot's model instead.
+var sharedProvider = sync.OnceValues(func() (*core.Checked, error) {
+	return core.Check(core.Definition{
+		Name:       "csvm-provider",
+		DSML:       sharedDSML(),
+		Middleware: ProviderModel(),
+		DSK:        core.DSK{LTSes: map[string]*lts.LTS{ProviderLTSName: ProviderLTS()}},
+	})
+})
+
+// sharedDevice memoises the checked device definition (the CSML
+// metamodel, the device middleware model and the device LTS) that every
+// device platform of New's deployments shares.
+var sharedDevice = sync.OnceValues(func() (*core.Checked, error) {
+	return core.Check(core.Definition{
+		Name:       "csvm-device",
+		DSML:       sharedDSML(),
+		Middleware: DeviceModel(),
+		DSK:        core.DSK{LTSes: map[string]*lts.LTS{DeviceLTSName: DeviceLTS()}},
+	})
+})
 
 func init() {
 	domains.Register(domains.Bundle{
@@ -31,6 +52,10 @@ func init() {
 			// its Synthesis layer and executed against a deterministic
 			// simulated fleet. Round results come back up as
 			// top-of-stack "queryResult" events.
+			def, err := sharedProvider()
+			if err != nil {
+				return nil, err
+			}
 			fleet := sensing.NewFleet(nil, 1)
 			var (
 				mu       sync.Mutex
@@ -46,19 +71,13 @@ func init() {
 					}})
 				}
 			})
-			def := core.Definition{
-				Name:       "csvm-provider",
-				DSML:       sharedDSML(),
-				Middleware: sharedProvider(),
-				DSK: core.DSK{
-					LTSes:    map[string]*lts.LTS{ProviderLTSName: ProviderLTS()},
-					Adapters: map[string]broker.Adapter{"engine": engine},
-				},
+			b := core.Bindings{
+				Adapters:   map[string]broker.Adapter{"engine": engine},
 				Obs:        cfg.Obs,
 				Injector:   cfg.Injector,
 				Resilience: cfg.Resilience,
 			}
-			return domains.NewInstance(def,
+			return domains.NewInstance(def, b,
 				func() string { return fleet.Trace().String() },
 				func(p *runtime.Platform, _ bool) {
 					mu.Lock()

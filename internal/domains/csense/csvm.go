@@ -378,14 +378,12 @@ func New(seed int64) (*CSVM, error) {
 		}
 	})
 
-	provider, err := core.Build(core.Definition{
-		Name:       "csvm-provider",
-		DSML:       sharedDSML(),
-		Middleware: sharedProvider(),
-		DSK: core.DSK{
-			LTSes:    map[string]*lts.LTS{ProviderLTSName: ProviderLTS()},
-			Adapters: map[string]broker.Adapter{"engine": vm.Engine},
-		},
+	def, err := sharedProvider()
+	if err != nil {
+		return nil, fmt.Errorf("csvm provider: %w", err)
+	}
+	provider, err := core.Build(def, core.Bindings{
+		Adapters: map[string]broker.Adapter{"engine": vm.Engine},
 	}, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("csvm provider: %w", err)
@@ -405,14 +403,12 @@ func New(seed int64) (*CSVM, error) {
 // layers). Its user authors query models independently; the shared gateway
 // unions them at the provider.
 func (vm *CSVM) AddDevice(name string) (*runtime.Platform, error) {
-	device, err := core.Build(core.Definition{
-		Name:       "csvm-" + name,
-		DSML:       sharedDSML(),
-		Middleware: DeviceModel(),
-		DSK: core.DSK{
-			LTSes:    map[string]*lts.LTS{DeviceLTSName: DeviceLTS()},
-			Adapters: map[string]broker.Adapter{"providerLink": newLink(vm.gw, name)},
-		},
+	def, err := sharedDevice()
+	if err != nil {
+		return nil, fmt.Errorf("csvm device %s: %w", name, err)
+	}
+	device, err := core.Build(def, core.Bindings{
+		Adapters: map[string]broker.Adapter{"providerLink": newLink(vm.gw, name)},
 	}, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("csvm device %s: %w", name, err)

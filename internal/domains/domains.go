@@ -53,21 +53,26 @@ type Instance struct {
 	// without a meaningful trace return "").
 	Trace func() string
 
-	// definition is the assembled MD-DSM definition; attach binds the
-	// built platform back into the shell's feedback loop.
-	definition core.Definition
-	attach     func(p *runtime.Platform, restored bool)
+	// shared is the bundle's checked definition, which every instance of
+	// the bundle shares; bindings are this instance's own adapters, clock
+	// and hooks; attach binds the built platform back into the shell's
+	// feedback loop.
+	shared   *core.Checked
+	bindings core.Bindings
+	attach   func(p *runtime.Platform, restored bool)
 }
 
 // Bundle is one registered domain: a name, a one-line description and the
-// assembly function producing a fresh shell + definition pair.
+// assembly function producing a fresh shell around the bundle's shared,
+// checked definition.
 type Bundle struct {
 	// Name keys the bundle in the registry ("cml", "mgrid", ...).
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// Assemble builds a fresh instance shell: Definition populated,
-	// Platform left nil (New and Restore fill it through core).
+	// Assemble builds a fresh instance shell: the bundle's checked
+	// definition and the shell's own bindings, Platform left nil (New and
+	// Restore fill it through core).
 	Assemble func(cfg Config) (*Instance, error)
 }
 
@@ -153,7 +158,7 @@ func New(bundle string, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Build(inst.definition, cfg.Runtime)
+	p, err := core.Build(inst.shared, inst.bindings, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("domains: build %s: %w", bundle, err)
 	}
@@ -173,18 +178,18 @@ func Restore(bundle string, snapshot []byte, cfg Config) (*Instance, error) {
 }
 
 // RestoreSnapshot rebuilds an instance of the named bundle from a
-// runtime.Snapshot: the bundle's shell and DSK are assembled fresh, the
-// snapshot's middleware model and layer state are reinstated through
-// core.Restore — the restored platform shares the snapshot's models
-// rather than copying them — and the shell's feedback loop is
-// re-attached. It replaces the per-domain Restore copies (cml.Restore,
-// mgrid.Restore). The restored platform is not started.
+// runtime.Snapshot: the bundle's shell is assembled fresh around its
+// shared, checked definition, the snapshot's middleware model and layer
+// state are reinstated through core.Restore — the restored platform
+// shares the snapshot's models rather than copying them — and the shell's
+// feedback loop is re-attached. It replaces the per-domain Restore copies
+// (cml.Restore, mgrid.Restore). The restored platform is not started.
 func RestoreSnapshot(bundle string, snap *runtime.Snapshot, cfg Config) (*Instance, error) {
 	inst, err := assemble(bundle, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Restore(inst.definition, snap, cfg.Runtime)
+	p, err := core.Restore(inst.shared, inst.bindings, snap, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("domains: restore %s: %w", bundle, err)
 	}
@@ -201,11 +206,12 @@ func (inst *Instance) bind(p *runtime.Platform, restored bool) {
 	}
 }
 
-// NewInstance builds the Instance a Bundle.Assemble returns. It lives
-// here (rather than exposing the struct fields) so the definition and
+// NewInstance builds the Instance a Bundle.Assemble returns: a shell
+// around the bundle's checked definition, bound to b. It lives here
+// (rather than exposing the struct fields) so the definition, bindings and
 // attach hook stay write-once.
-func NewInstance(def core.Definition, trace func() string, attach func(p *runtime.Platform, restored bool)) *Instance {
-	return &Instance{definition: def, Trace: trace, attach: attach}
+func NewInstance(shared *core.Checked, b core.Bindings, trace func() string, attach func(p *runtime.Platform, restored bool)) *Instance {
+	return &Instance{shared: shared, bindings: b, Trace: trace, attach: attach}
 }
 
 // Close stops the instance's platform (drain included). It is safe on an

@@ -8,10 +8,14 @@ import (
 	"github.com/mddsm/mddsm/internal/domains"
 	_ "github.com/mddsm/mddsm/internal/domains/all"
 	"github.com/mddsm/mddsm/internal/domains/cml"
+	"github.com/mddsm/mddsm/internal/domains/csense"
 	"github.com/mddsm/mddsm/internal/domains/mgrid"
 	"github.com/mddsm/mddsm/internal/domains/smartspace"
 	"github.com/mddsm/mddsm/internal/domgen"
+	"github.com/mddsm/mddsm/internal/dsc"
 	"github.com/mddsm/mddsm/internal/metamodel"
+	"github.com/mddsm/mddsm/internal/obs"
+	"github.com/mddsm/mddsm/internal/registry"
 	"github.com/mddsm/mddsm/internal/runtime"
 	"github.com/mddsm/mddsm/internal/ui"
 )
@@ -63,21 +67,43 @@ func TestEveryBundleBuilds(t *testing.T) {
 	}
 }
 
-// TestNewIsTheBundlePath: each domain package's New runs the assembly its
-// registered bundle runs. Built with one Config, the two platforms share
-// the bundle's DSML, synthesise the same script from the same model,
-// drive the same resource trace and capture equivalent snapshots.
+// TestNewIsTheBundlePath: every platform of a bundle runs on the bundle's
+// one checked definition. Two tenants provisioned by domains.New, a
+// domains.RestoreSnapshot of one of them and the domain package's own New
+// (where it has one) hold the same DSML, taxonomy, procedure repository
+// and LTS definition, while each keeps its own shell and adapters, LTS
+// instance and obs bundle. A package's New also runs the assembly its
+// bundle runs: built with one Config, the two synthesise the same script
+// from the same model, drive the same resource trace and capture
+// equivalent snapshots.
 func TestNewIsTheBundlePath(t *testing.T) {
+	syn, err := domgen.Register(domgen.Spec{Name: "shared-loop", Seed: 11, Classes: 3, Depth: 1,
+		AttrsPerClass: 2, Enums: 1, EnumLiterals: 2, LTSStates: 3, LTSShape: domgen.ShapeLoop,
+		LTSDensity: 0.5, EventTypes: 2, InitialObjects: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := domains.Config{Runtime: runtime.Config{PumpQueue: 32, DLQCapacity: runtime.DLQDisabled}}
 	type built struct {
 		p     *runtime.Platform
 		trace func() string
 	}
+	uiModel := func(draft func(d *ui.Draft)) func(p *runtime.Platform) *metamodel.Model {
+		return func(p *runtime.Platform) *metamodel.Model {
+			d := p.UI.NewDraft()
+			draft(d)
+			return d.Model()
+		}
+	}
 	for _, c := range []struct {
 		bundle string
-		newVM  func() (built, error)
-		model  func(d *ui.Draft)
-		traced bool // whether submitting the model reaches the resource trace
+		newVM  func() (built, error) // nil: the package has no New
+		// sameShell: newVM runs the bundle's own assembly with cfg (csense.New
+		// builds a whole deployment around the provider instead).
+		sameShell  bool
+		model      func(p *runtime.Platform) *metamodel.Model
+		traced     bool // whether submitting the model reaches the resource trace
+		procedures bool // whether the bundle declares procedures
 	}{
 		{"cml", func() (built, error) {
 			vm, err := cml.New(cfg)
@@ -85,7 +111,7 @@ func TestNewIsTheBundlePath(t *testing.T) {
 				return built{}, err
 			}
 			return built{vm.Platform, vm.Service.Trace().String}, nil
-		}, func(d *ui.Draft) {
+		}, true, uiModel(func(d *ui.Draft) {
 			d.MustAdd("alice", "Person").SetAttr("name", "Alice")
 			d.MustAdd("bob", "Person").SetAttr("name", "Bob")
 			d.MustAdd("s1", "Session").
@@ -95,14 +121,14 @@ func TestNewIsTheBundlePath(t *testing.T) {
 				SetAttr("media", "audio").
 				SetAttr("bandwidth", 64).
 				SetAttr("session", "s1")
-		}, true},
+		}), true, true},
 		{"mgrid", func() (built, error) {
 			vm, err := mgrid.New(cfg)
 			if err != nil {
 				return built{}, err
 			}
 			return built{vm.Platform, vm.Plant.Trace().String}, nil
-		}, func(d *ui.Draft) {
+		}, true, uiModel(func(d *ui.Draft) {
 			d.MustAdd("home", "Microgrid").
 				SetAttr("name", "Casa Verde").
 				SetRef("devices", "solar", "load").
@@ -110,14 +136,14 @@ func TestNewIsTheBundlePath(t *testing.T) {
 			d.MustAdd("solar", "DeviceCfg").SetAttr("kind", "solar").SetAttr("capacity", 5).SetAttr("output", 3)
 			d.MustAdd("load", "DeviceCfg").SetAttr("kind", "load").SetAttr("capacity", 8).SetAttr("output", -5)
 			d.MustAdd("reserve", "EnergyPolicy").SetAttr("name", "keep-reserve").SetAttr("reserve", 0.3)
-		}, true},
+		}), true, true},
 		{"smartspace", func() (built, error) {
 			vm, err := smartspace.New(cfg)
 			if err != nil {
 				return built{}, err
 			}
 			return built{vm.Platform, vm.Hub.Space().Trace().String}, nil
-		}, func(d *ui.Draft) {
+		}, true, uiModel(func(d *ui.Draft) {
 			d.MustAdd("ana", "User").SetAttr("name", "Ana")
 			d.MustAdd("lamp1", "ObjectDecl").SetAttr("kind", "lamp")
 			d.MustAdd("welcome", "Rule").
@@ -126,58 +152,155 @@ func TestNewIsTheBundlePath(t *testing.T) {
 				SetAttr("targetObject", "lamp1").
 				SetAttr("prop", "on").
 				SetAttr("value", "true")
-		}, false},
+		}), false, false},
+		{"csense", func() (built, error) {
+			vm, err := csense.New(1)
+			if err != nil {
+				return built{}, err
+			}
+			return built{vm.Provider, vm.Fleet.Trace().String}, nil
+		}, false, func(*runtime.Platform) *metamodel.Model {
+			m := metamodel.NewModel(csense.MetamodelName)
+			m.NewObject("heat", "Query").SetAttr("sensor", "temperature").SetAttr("aggregate", "max")
+			return m
+		}, false, false},
+		{syn.Name, nil, false, func(*runtime.Platform) *metamodel.Model { return syn.Initial() }, true, false},
 	} {
 		t.Run(c.bundle, func(t *testing.T) {
-			direct, err := c.newVM()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer direct.p.Stop()
-			inst, err := domains.New(c.bundle, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer inst.Close()
-
-			if direct.p.Synthesis.DSML() != inst.Platform.Synthesis.DSML() {
-				t.Error("New runs a different DSML instance than the bundle")
-			}
-			if a, b := direct.p.Config(), inst.Platform.Config(); a != b {
-				t.Errorf("runtime config: New %+v, bundle %+v", a, b)
-			}
-
-			d := direct.p.UI.NewDraft()
-			c.model(d)
-			var scripts [2]string
-			for i, p := range []*runtime.Platform{direct.p, inst.Platform} {
-				s, err := p.SubmitModel(d.Model())
+			tenant := func() *domains.Instance {
+				cfg := cfg
+				cfg.Obs = obs.New()
+				inst, err := domains.New(c.bundle, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scripts[i] = s.String()
+				t.Cleanup(inst.Close)
+				return inst
 			}
-			if scripts[0] != scripts[1] {
-				t.Errorf("scripts differ:\n New: %s\nbundle: %s", scripts[0], scripts[1])
+			a, b := tenant(), tenant()
+			rcfg := cfg
+			rcfg.Obs = obs.New()
+			restored, err := domains.RestoreSnapshot(c.bundle, a.Platform.Capture(), rcfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if a, b := direct.trace(), inst.Trace(); a != b {
-				t.Errorf("resource traces differ:\n New: %s\nbundle: %s", a, b)
-			} else if c.traced && a == "" {
-				t.Error("the model drove no resource operation")
+			defer restored.Close()
+			platforms := []*runtime.Platform{a.Platform, b.Platform, restored.Platform}
+			var direct built
+			if c.newVM != nil {
+				if direct, err = c.newVM(); err != nil {
+					t.Fatal(err)
+				}
+				defer direct.p.Stop()
+				platforms = append(platforms, direct.p)
 			}
 
-			a, err := direct.p.Capture().Encode()
+			// Shared: the bundle's checked definition.
+			repo := a.Platform.Controller.Repository()
+			if (repo != nil) != c.procedures {
+				t.Fatalf("procedure repository %v, want one: %v", repo, c.procedures)
+			}
+			for i, p := range platforms[1:] {
+				if p.Synthesis.DSML() != a.Platform.Synthesis.DSML() {
+					t.Errorf("platform %d runs a different DSML instance", i+1)
+				}
+				if p.Synthesis.LTS() != a.Platform.Synthesis.LTS() {
+					t.Errorf("platform %d runs a different LTS definition", i+1)
+				}
+				if p.Controller.Repository() != repo {
+					t.Errorf("platform %d holds a different procedure repository", i+1)
+				} else if repo != nil && p.Controller.Repository().Taxonomy() != repo.Taxonomy() {
+					t.Errorf("platform %d holds a different taxonomy", i+1)
+				}
+			}
+
+			// Per tenant: obs bundles, LTS instances and shells.
+			tracers := map[*obs.Tracer]bool{}
+			for _, p := range platforms[:3] {
+				tr, _ := p.Obs()
+				tracers[tr] = true
+			}
+			if len(tracers) != 3 {
+				t.Errorf("3 tenants instrument %d distinct obs bundles", len(tracers))
+			}
+			m := c.model(a.Platform)
+			var scripts []string
+			for _, p := range []*runtime.Platform{a.Platform, b.Platform} {
+				s, err := p.SubmitModel(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scripts = append(scripts, s.String())
+			}
+			if scripts[0] != scripts[1] {
+				t.Errorf("tenants synthesise different scripts:\n%s\n%s", scripts[0], scripts[1])
+			}
+			// Each tenant drove its own shell: a shared one would have
+			// refused the second tenant's resources or traced them twice.
+			if at, bt := a.Trace(), b.Trace(); at != bt {
+				t.Errorf("resource traces differ:\n a: %s\n b: %s", at, bt)
+			} else if c.traced && at == "" {
+				t.Error("the model drove no resource operation")
+			}
+			if got := restored.Platform.Synthesis.Seq(); got != 0 {
+				t.Errorf("restored tenant's synthesis moved with its source: seq %d", got)
+			}
+			if got, want := restored.Platform.Synthesis.State(), restored.Platform.Synthesis.LTS().Initial; got != want {
+				t.Errorf("restored tenant's LTS instance in state %q, want %q", got, want)
+			}
+
+			if !c.sameShell {
+				return
+			}
+			if a, b := direct.p.Config(), a.Platform.Config(); a != b {
+				t.Errorf("runtime config: New %+v, bundle %+v", a, b)
+			}
+			s, err := direct.p.SubmitModel(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := inst.Platform.Capture().Encode()
+			if s.String() != scripts[0] {
+				t.Errorf("scripts differ:\n New: %s\nbundle: %s", s, scripts[0])
+			}
+			if dt, at := direct.trace(), a.Trace(); dt != at {
+				t.Errorf("resource traces differ:\n New: %s\nbundle: %s", dt, at)
+			}
+			da, err := direct.p.Capture().Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if same, err := runtime.SnapshotsEquivalent(a, b); err != nil || !same {
-				t.Errorf("snapshots not equivalent (err %v):\n New: %s\nbundle: %s", err, a, b)
+			db, err := a.Platform.Capture().Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same, err := runtime.SnapshotsEquivalent(da, db); err != nil || !same {
+				t.Errorf("snapshots not equivalent (err %v):\n New: %s\nbundle: %s", err, da, db)
 			}
 		})
+	}
+}
+
+// TestSharedDefinitionRefusesMutation: a bundle's taxonomy and procedure
+// repository are shared by all its tenants, so both refuse change.
+func TestSharedDefinitionRefusesMutation(t *testing.T) {
+	inst, err := domains.New("cml", domains.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	repo := inst.Platform.Controller.Repository()
+	n := repo.Len()
+	if err := repo.Remove("connectBasic"); err == nil {
+		t.Error("Remove on the shared repository succeeded")
+	}
+	if err := repo.Add(&registry.Procedure{ID: "extra", ClassifiedBy: "comm.codec", Reliability: 1}); err == nil {
+		t.Error("Add on the shared repository succeeded")
+	}
+	if err := repo.Taxonomy().Add(&dsc.DSC{ID: "comm.extra", Category: dsc.Operation}); err == nil {
+		t.Error("Add on the shared taxonomy succeeded")
+	}
+	if repo.Len() != n || repo.Get("connectBasic") == nil || repo.Taxonomy().Get("comm.extra") != nil {
+		t.Error("a refused mutation changed the shared definition")
 	}
 }
 

@@ -3,25 +3,41 @@ package mgrid
 import (
 	"sync"
 
+	"github.com/mddsm/mddsm/internal/core"
 	"github.com/mddsm/mddsm/internal/domains"
+	"github.com/mddsm/mddsm/internal/lts"
 )
 
-// sharedDSML memoises the MGML metamodel so every MGridVM shares one
-// compiled conformance validator.
-var sharedDSML = sync.OnceValue(Metamodel)
-
-// sharedMiddleware memoises the authored MGridVM middleware model. It is
-// never modified: Build validates a copy, and a restore runs the
-// snapshot's model instead.
-var sharedMiddleware = sync.OnceValue(MiddlewareModel)
+// shared memoises the checked MGridVM definition: the MGridML metamodel
+// (and with it the compiled conformance validator), the MGridVM middleware
+// model, the taxonomy, the procedures and their repository, and the
+// synthesis LTS. They are built and checked once, and every MGridVM shares
+// them. None of them is modified: Build validates a copy of the middleware
+// model, and a restore runs the snapshot's model instead.
+var shared = sync.OnceValues(func() (*core.Checked, error) {
+	return core.Check(core.Definition{
+		Name:       "mgridvm",
+		DSML:       Metamodel(),
+		Middleware: MiddlewareModel(),
+		DSK: core.DSK{
+			Taxonomy:   Taxonomy(),
+			Procedures: Procedures(),
+			LTSes:      map[string]*lts.LTS{LTSName: SynthesisLTS()},
+		},
+	})
+})
 
 func init() {
 	domains.Register(domains.Bundle{
 		Name: "mgrid",
 		Doc:  "microgrid platform (MGridVM): sources, loads and battery policy over a simulated plant",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			vm, def := assemble(cfg)
-			return domains.NewInstance(def,
+			def, err := shared()
+			if err != nil {
+				return nil, err
+			}
+			vm, b := assemble(cfg)
+			return domains.NewInstance(def, b,
 				func() string { return vm.Plant.Trace().String() },
 				vm.attach,
 			), nil

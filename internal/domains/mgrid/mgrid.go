@@ -271,8 +271,12 @@ type MGridVM struct {
 // assembly the registered "mgrid" bundle runs. Plant events are delivered
 // synchronously into the MHB.
 func New(cfg domains.Config) (*MGridVM, error) {
-	vm, def := assemble(cfg)
-	p, err := core.Build(def, cfg.Runtime)
+	def, err := shared()
+	if err != nil {
+		return nil, fmt.Errorf("mgridvm: %w", err)
+	}
+	vm, b := assemble(cfg)
+	p, err := core.Build(def, b, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("mgridvm: %w", err)
 	}
@@ -286,8 +290,8 @@ func New(cfg domains.Config) (*MGridVM, error) {
 // copies.
 
 // assemble wires the MGridVM shell (clock + simulated plant) and the
-// MD-DSM definition that New and the bundle share.
-func assemble(cfg domains.Config) (*MGridVM, core.Definition) {
+// bindings of its platform, which New and the bundle share.
+func assemble(cfg domains.Config) (*MGridVM, core.Bindings) {
 	clock := simtime.NewVirtual()
 	vm := &MGridVM{Clock: clock}
 	vm.Plant = microgrid.NewPlant(clock, func(e microgrid.Event) {
@@ -295,22 +299,13 @@ func assemble(cfg domains.Config) (*MGridVM, core.Definition) {
 			_ = vm.Platform.DeliverEvent(e.Broker())
 		}
 	})
-	def := core.Definition{
-		Name:       "mgridvm",
-		DSML:       sharedDSML(),
-		Middleware: sharedMiddleware(),
-		DSK: core.DSK{
-			Taxonomy:   Taxonomy(),
-			Procedures: Procedures(),
-			LTSes:      map[string]*lts.LTS{LTSName: SynthesisLTS()},
-			Adapters:   map[string]broker.Adapter{"plant": NewAdapter(vm.Plant)},
-		},
+	return vm, core.Bindings{
+		Adapters:   map[string]broker.Adapter{"plant": NewAdapter(vm.Plant)},
 		Clock:      clock,
 		Obs:        cfg.Obs,
 		Injector:   cfg.Injector,
 		Resilience: cfg.Resilience,
 	}
-	return vm, def
 }
 
 // attach binds a built or restored platform into the shell. The armPolicy

@@ -3,26 +3,38 @@ package smartspace
 import (
 	"sync"
 
+	"github.com/mddsm/mddsm/internal/core"
 	"github.com/mddsm/mddsm/internal/domains"
+	"github.com/mddsm/mddsm/internal/lts"
 )
 
-// sharedDSML memoises the 2SML metamodel so every 2SVM — built by New or
-// provisioned through the bundle registry — shares one compiled
-// conformance validator.
-var sharedDSML = sync.OnceValue(Metamodel)
-
-// sharedCentral memoises the authored central middleware model. It is
-// never modified: Build validates a copy, and a restore runs the
-// snapshot's model instead.
-var sharedCentral = sync.OnceValue(CentralModel)
+// shared memoises the checked 2SVM central definition: the 2SML metamodel
+// (and with it the compiled conformance validator), the central
+// middleware model and the synthesis LTS. They are built and checked
+// once, and every 2SVM — built by New or provisioned through the bundle
+// registry — shares them. None of them is modified: Build validates a copy
+// of the middleware model, and a restore runs the snapshot's model
+// instead.
+var shared = sync.OnceValues(func() (*core.Checked, error) {
+	return core.Check(core.Definition{
+		Name:       "2svm",
+		DSML:       Metamodel(),
+		Middleware: CentralModel(),
+		DSK:        core.DSK{LTSes: map[string]*lts.LTS{LTSName: SynthesisLTS()}},
+	})
+})
 
 func init() {
 	domains.Register(domains.Bundle{
 		Name: "smartspace",
 		Doc:  "smart-space central platform (2SVM): users, objects and rules over a simulated space fabric",
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			vm, def := assemble(cfg)
-			return domains.NewInstance(def,
+			def, err := shared()
+			if err != nil {
+				return nil, err
+			}
+			vm, b := assemble(cfg)
+			return domains.NewInstance(def, b,
 				func() string { return vm.Hub.Space().Trace().String() },
 				vm.attach,
 			), nil

@@ -299,8 +299,12 @@ type SSVM struct {
 // New builds a 2SVM deployment configured by cfg: the same assembly the
 // registered "smartspace" bundle runs.
 func New(cfg domains.Config) (*SSVM, error) {
-	vm, def := assemble(cfg)
-	p, err := core.Build(def, cfg.Runtime)
+	def, err := shared()
+	if err != nil {
+		return nil, fmt.Errorf("2svm: %w", err)
+	}
+	vm, b := assemble(cfg)
+	p, err := core.Build(def, b, cfg.Runtime)
 	if err != nil {
 		return nil, fmt.Errorf("2svm: %w", err)
 	}
@@ -309,23 +313,15 @@ func New(cfg domains.Config) (*SSVM, error) {
 }
 
 // assemble wires the 2SVM shell (a fabric over a fresh space) and the
-// MD-DSM definition of its central platform that New and the bundle
-// share.
-func assemble(cfg domains.Config) (*SSVM, core.Definition) {
+// bindings of its central platform, which New and the bundle share.
+func assemble(cfg domains.Config) (*SSVM, core.Bindings) {
 	hub := NewHub()
-	def := core.Definition{
-		Name:       "2svm",
-		DSML:       sharedDSML(),
-		Middleware: sharedCentral(),
-		DSK: core.DSK{
-			LTSes:    map[string]*lts.LTS{LTSName: SynthesisLTS()},
-			Adapters: map[string]broker.Adapter{"hub": hub},
-		},
+	return &SSVM{Hub: hub}, core.Bindings{
+		Adapters:   map[string]broker.Adapter{"hub": hub},
 		Obs:        cfg.Obs,
 		Injector:   cfg.Injector,
 		Resilience: cfg.Resilience,
 	}
-	return &SSVM{Hub: hub}, def
 }
 
 // attach binds a built or restored central platform into the shell: the

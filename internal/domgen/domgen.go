@@ -149,6 +149,9 @@ type Domain struct {
 	initial    *metamodel.Model
 	eventNames []string
 	concrete   []string
+	// shared is the checked definition (DSML, middleware model, LTS) that
+	// every tenant of the domain shares.
+	shared *core.Checked
 }
 
 // Middleware returns a fresh copy of the generated middleware model.
@@ -207,16 +210,22 @@ func Generate(spec Spec) (*Domain, error) {
 		return nil, fmt.Errorf("domgen %s: initial model: %w", d.Name, err)
 	}
 
-	// The full cross-check the core applies at build time, run once at
-	// generation so a bad domain fails fast with a generator error.
-	def := core.Definition{
+	// The core's cross-check, run once at generation so a bad domain
+	// fails fast with a generator error: core.Check for the DSML and the
+	// DSK, whose checked definition every tenant of the domain shares, and
+	// the middleware model's conformance, which each platform build checks
+	// again on its own copy.
+	d.shared, err = core.Check(core.Definition{
 		Name:       d.Name,
 		DSML:       d.DSML,
 		Middleware: d.middleware,
 		DSK:        core.DSK{LTSes: map[string]*lts.LTS{d.LTS.Name: d.LTS}},
-	}
-	if err := def.Validate(); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("domgen %s: %w", d.Name, err)
+	}
+	if err := d.middleware.Clone().Validate(mwmeta.MM()); err != nil {
+		return nil, fmt.Errorf("domgen %s: middleware model: %w", d.Name, err)
 	}
 	return d, nil
 }
@@ -468,10 +477,11 @@ func (s *sink) trace() string {
 }
 
 // Bundle wraps the domain as a registry bundle: Assemble builds a fresh
-// shell (its own sink adapter) around the shared DSML, LTS and authored
-// middleware model, exactly the shape the hand-built bundles register.
-// The middleware model is never modified: Build validates a copy, and a
-// restore runs the snapshot's model instead.
+// shell (its own sink adapter) around the domain's checked definition —
+// the shared DSML, LTS and authored middleware model — exactly the shape
+// the hand-built bundles register. The middleware model is never
+// modified: Build validates a copy, and a restore runs the snapshot's
+// model instead.
 func (d *Domain) Bundle() domains.Bundle {
 	return domains.Bundle{
 		Name: d.Name,
@@ -481,19 +491,13 @@ func (d *Domain) Bundle() domains.Bundle {
 			d.Spec.LTSShape, d.Spec.LTSStates, d.Spec.EventTypes),
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
 			snk := newSink()
-			def := core.Definition{
-				Name:       d.Name,
-				DSML:       d.DSML,
-				Middleware: d.middleware,
-				DSK: core.DSK{
-					LTSes:    map[string]*lts.LTS{d.LTS.Name: d.LTS},
-					Adapters: map[string]broker.Adapter{"sink": snk},
-				},
+			b := core.Bindings{
+				Adapters:   map[string]broker.Adapter{"sink": snk},
 				Obs:        cfg.Obs,
 				Injector:   cfg.Injector,
 				Resilience: cfg.Resilience,
 			}
-			return domains.NewInstance(def, snk.trace, nil), nil
+			return domains.NewInstance(d.shared, b, snk.trace, nil), nil
 		},
 	}
 }

@@ -8,6 +8,7 @@ package dsc
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Category distinguishes what a classifier describes.
@@ -53,7 +54,8 @@ type DSC struct {
 
 // Taxonomy is a validated set of classifiers for one or more domains.
 type Taxonomy struct {
-	dscs map[string]*DSC
+	dscs   map[string]*DSC
+	sealed atomic.Bool
 }
 
 // NewTaxonomy returns an empty taxonomy.
@@ -61,8 +63,12 @@ func NewTaxonomy() *Taxonomy {
 	return &Taxonomy{dscs: make(map[string]*DSC)}
 }
 
-// Add registers a classifier. It returns an error on duplicate or empty IDs.
+// Add registers a classifier. It returns an error on duplicate or empty
+// IDs, and on a sealed taxonomy.
 func (t *Taxonomy) Add(d *DSC) error {
+	if t.sealed.Load() {
+		return fmt.Errorf("dsc %q: taxonomy is sealed", d.ID)
+	}
 	if d.ID == "" {
 		return fmt.Errorf("dsc with empty ID")
 	}
@@ -80,6 +86,11 @@ func (t *Taxonomy) MustAdd(d *DSC) *DSC {
 	}
 	return d
 }
+
+// Seal makes the taxonomy read-only: every later Add fails. A taxonomy
+// is sealed once it is shared by the platforms of a domain, which read it
+// concurrently.
+func (t *Taxonomy) Seal() { t.sealed.Store(true) }
 
 // Get returns the classifier with the given ID, or nil.
 func (t *Taxonomy) Get(id string) *DSC { return t.dscs[id] }

@@ -193,7 +193,6 @@ type Machine struct {
 	events  EventSink
 	charger TimeCharger
 	limits  Limits
-	funcs   map[string]expr.Func
 
 	tracer  *obs.Tracer
 	mSteps  *obs.Counter
@@ -218,7 +217,6 @@ func NewMachine(broker Broker, events EventSink, charger TimeCharger, limits Lim
 		events:  events,
 		charger: charger,
 		limits:  limits.withDefaults(),
-		funcs:   expr.StdFuncs(),
 	}
 }
 
@@ -287,7 +285,7 @@ func (m *Machine) push(rs *runState, f *Frame, scope expr.MapScope) error {
 }
 
 func (m *Machine) exec(rs *runState, f *Frame, body []Statement, scope expr.MapScope) error {
-	env := expr.Env{Scope: scope, Funcs: m.funcs}
+	env := expr.Env{Scope: scope, Funcs: expr.StdFuncs()}
 	for i := range body {
 		st := &body[i]
 		rs.steps++

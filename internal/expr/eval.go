@@ -273,67 +273,69 @@ func EvalNumber(n Node, env Env) (float64, error) {
 }
 
 // StdFuncs returns the standard function table available to all MD-DSM
-// expressions: min, max, abs, len, contains, floor, ceil.
-func StdFuncs() map[string]Func {
-	return map[string]Func{
-		"min": func(args []any) (any, error) {
-			return foldNums("min", args, math.Min)
-		},
-		"max": func(args []any) (any, error) {
-			return foldNums("max", args, math.Max)
-		},
-		"abs": func(args []any) (any, error) {
-			if len(args) != 1 {
-				return nil, errors.New("abs wants 1 argument")
-			}
-			f, ok := normalize(args[0]).(float64)
-			if !ok {
-				return nil, fmt.Errorf("abs wants a number, got %T", args[0])
-			}
-			return math.Abs(f), nil
-		},
-		"len": func(args []any) (any, error) {
-			if len(args) != 1 {
-				return nil, errors.New("len wants 1 argument")
-			}
-			s, ok := args[0].(string)
-			if !ok {
-				return nil, fmt.Errorf("len wants a string, got %T", args[0])
-			}
-			return float64(len(s)), nil
-		},
-		"contains": func(args []any) (any, error) {
-			if len(args) != 2 {
-				return nil, errors.New("contains wants 2 arguments")
-			}
-			s, ok1 := args[0].(string)
-			sub, ok2 := args[1].(string)
-			if !ok1 || !ok2 {
-				return nil, errors.New("contains wants string arguments")
-			}
-			return strings.Contains(s, sub), nil
-		},
-		"floor": func(args []any) (any, error) {
-			if len(args) != 1 {
-				return nil, errors.New("floor wants 1 argument")
-			}
-			f, ok := normalize(args[0]).(float64)
-			if !ok {
-				return nil, fmt.Errorf("floor wants a number, got %T", args[0])
-			}
-			return math.Floor(f), nil
-		},
-		"ceil": func(args []any) (any, error) {
-			if len(args) != 1 {
-				return nil, errors.New("ceil wants 1 argument")
-			}
-			f, ok := normalize(args[0]).(float64)
-			if !ok {
-				return nil, fmt.Errorf("ceil wants a number, got %T", args[0])
-			}
-			return math.Ceil(f), nil
-		},
-	}
+// expressions: min, max, abs, len, contains, floor, ceil. Every caller
+// gets the same table, built once; it is read-only and must not be
+// modified.
+func StdFuncs() map[string]Func { return stdFuncs }
+
+var stdFuncs = map[string]Func{
+	"min": func(args []any) (any, error) {
+		return foldNums("min", args, math.Min)
+	},
+	"max": func(args []any) (any, error) {
+		return foldNums("max", args, math.Max)
+	},
+	"abs": func(args []any) (any, error) {
+		if len(args) != 1 {
+			return nil, errors.New("abs wants 1 argument")
+		}
+		f, ok := normalize(args[0]).(float64)
+		if !ok {
+			return nil, fmt.Errorf("abs wants a number, got %T", args[0])
+		}
+		return math.Abs(f), nil
+	},
+	"len": func(args []any) (any, error) {
+		if len(args) != 1 {
+			return nil, errors.New("len wants 1 argument")
+		}
+		s, ok := args[0].(string)
+		if !ok {
+			return nil, fmt.Errorf("len wants a string, got %T", args[0])
+		}
+		return float64(len(s)), nil
+	},
+	"contains": func(args []any) (any, error) {
+		if len(args) != 2 {
+			return nil, errors.New("contains wants 2 arguments")
+		}
+		s, ok1 := args[0].(string)
+		sub, ok2 := args[1].(string)
+		if !ok1 || !ok2 {
+			return nil, errors.New("contains wants string arguments")
+		}
+		return strings.Contains(s, sub), nil
+	},
+	"floor": func(args []any) (any, error) {
+		if len(args) != 1 {
+			return nil, errors.New("floor wants 1 argument")
+		}
+		f, ok := normalize(args[0]).(float64)
+		if !ok {
+			return nil, fmt.Errorf("floor wants a number, got %T", args[0])
+		}
+		return math.Floor(f), nil
+	},
+	"ceil": func(args []any) (any, error) {
+		if len(args) != 1 {
+			return nil, errors.New("ceil wants 1 argument")
+		}
+		f, ok := normalize(args[0]).(float64)
+		if !ok {
+			return nil, fmt.Errorf("ceil wants a number, got %T", args[0])
+		}
+		return math.Ceil(f), nil
+	},
 }
 
 func foldNums(name string, args []any, f func(a, b float64) float64) (any, error) {

@@ -321,3 +321,11 @@ func TestStringsOrderOps(t *testing.T) {
 		t.Errorf("* on strings must fail: %v", err)
 	}
 }
+
+// TestStdFuncsIsOneTable: every caller shares one function table instead
+// of building its own.
+func TestStdFuncsIsOneTable(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { _ = StdFuncs() }); n != 0 {
+		t.Errorf("StdFuncs allocates %.0f times per call", n)
+	}
+}

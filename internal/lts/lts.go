@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"github.com/mddsm/mddsm/internal/expr"
 	"github.com/mddsm/mddsm/internal/script"
@@ -33,12 +34,26 @@ type Transition struct {
 	Emit  []CommandTemplate
 }
 
-// LTS is an immutable labeled transition system definition.
+// LTS is a labeled transition system definition. It is built with
+// AddState, AddTransition and On and is immutable from then on, so any
+// number of Instances — one per platform — may share it.
 type LTS struct {
 	Name        string
 	Initial     string
 	states      map[string]bool
 	transitions []Transition
+
+	// version counts AddState and AddTransition calls; valid records the
+	// version and initial state Validate last accepted, so re-validating
+	// an unchanged definition costs one comparison.
+	version uint64
+	valid   atomic.Pointer[validation]
+}
+
+// validation is one accepted Validate verdict.
+type validation struct {
+	version uint64
+	initial string
 }
 
 // New creates an LTS with the given initial state.
@@ -53,6 +68,7 @@ func (l *LTS) AddState(names ...string) *LTS {
 	for _, n := range names {
 		l.states[n] = true
 	}
+	l.version++
 	return l
 }
 
@@ -60,6 +76,7 @@ func (l *LTS) AddState(names ...string) *LTS {
 // order; the first enabled match fires.
 func (l *LTS) AddTransition(t Transition) *LTS {
 	l.transitions = append(l.transitions, t)
+	l.version++
 	return l
 }
 
@@ -112,8 +129,12 @@ func (l *LTS) EmittedOps() []string {
 func (l *LTS) Transitions() int { return len(l.transitions) }
 
 // Validate checks that all transition endpoints are declared states and the
-// initial state exists.
+// initial state exists. An accepted definition is checked once: until it
+// is changed again, later calls return at once.
 func (l *LTS) Validate() error {
+	if v := l.valid.Load(); v != nil && v.version == l.version && v.initial == l.Initial {
+		return nil
+	}
 	if !l.states[l.Initial] {
 		return fmt.Errorf("lts %s: initial state %q not declared", l.Name, l.Initial)
 	}
@@ -128,6 +149,7 @@ func (l *LTS) Validate() error {
 			return fmt.Errorf("lts %s: transition %d: empty event pattern", l.Name, i)
 		}
 	}
+	l.valid.Store(&validation{version: l.version, initial: l.Initial})
 	return nil
 }
 
@@ -146,13 +168,15 @@ func matchEvent(pattern, label string) bool {
 type Instance struct {
 	def   *LTS
 	state string
-	funcs map[string]expr.Func
 }
 
 // NewInstance creates an instance positioned at the initial state.
 func NewInstance(def *LTS) *Instance {
-	return &Instance{def: def, state: def.Initial, funcs: expr.StdFuncs()}
+	return &Instance{def: def, state: def.Initial}
 }
+
+// Def returns the definition the instance runs.
+func (in *Instance) Def() *LTS { return in.def }
 
 // State returns the current state.
 func (in *Instance) State() string { return in.state }
@@ -180,7 +204,7 @@ func (in *Instance) Step(event string, scope expr.MapScope) ([]script.Command, b
 			continue
 		}
 		if t.Guard != nil {
-			ok, err := expr.EvalBool(t.Guard, expr.Env{Scope: scope, Funcs: in.funcs})
+			ok, err := expr.EvalBool(t.Guard, expr.Env{Scope: scope, Funcs: expr.StdFuncs()})
 			if err != nil {
 				return nil, false, fmt.Errorf("lts %s: state %s: event %s: guard: %w",
 					in.def.Name, in.state, event, err)

@@ -54,6 +54,28 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRechecksAfterChange: an accepted definition is not checked
+// again, but any change to it — a transition, a state, the initial state —
+// is.
+func TestValidateRechecksAfterChange(t *testing.T) {
+	l := sessionLTS()
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	l.AddTransition(Transition{From: "ghost", Event: "e", To: "idle"})
+	if err := l.Validate(); err == nil {
+		t.Fatal("a transition from an undeclared state was accepted")
+	}
+	l.AddState("ghost")
+	if err := l.Validate(); err != nil {
+		t.Fatalf("declaring the state did not clear the error: %v", err)
+	}
+	l.Initial = "nowhere"
+	if err := l.Validate(); err == nil {
+		t.Fatal("an undeclared initial state was accepted")
+	}
+}
+
 func TestStepLifecycle(t *testing.T) {
 	in := NewInstance(sessionLTS())
 	if in.State() != "idle" {

@@ -150,7 +150,6 @@ func (d Decision) Applied() []string { return append([]string(nil), d.applied...
 // construct with NewEngine.
 type Engine struct {
 	policies []Policy
-	funcs    map[string]expr.Func
 }
 
 // NewEngine builds an engine. Policies are sorted by descending priority,
@@ -163,7 +162,7 @@ func NewEngine(policies ...Policy) *Engine {
 		}
 		return sorted[i].Name < sorted[j].Name
 	})
-	return &Engine{policies: sorted, funcs: expr.StdFuncs()}
+	return &Engine{policies: sorted}
 }
 
 // Len returns the number of policies.
@@ -186,7 +185,7 @@ func (e *Engine) Names() []string {
 // context — while any other evaluation error aborts the decision.
 func (e *Engine) Decide(scope expr.Scope) (Decision, error) {
 	d := Decision{values: make(map[string]any)}
-	env := expr.Env{Scope: scope, Funcs: e.funcs}
+	env := expr.Env{Scope: scope, Funcs: expr.StdFuncs()}
 	for _, p := range e.policies {
 		ok, err := expr.EvalBool(p.Condition, env)
 		if err != nil {

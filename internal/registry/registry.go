@@ -7,6 +7,7 @@ package registry
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/mddsm/mddsm/internal/dsc"
 	"github.com/mddsm/mddsm/internal/eu"
@@ -44,6 +45,7 @@ type Repository struct {
 	taxonomy *dsc.Taxonomy
 	procs    map[string]*Procedure
 	order    []string
+	sealed   atomic.Bool
 }
 
 // NewRepository creates a repository bound to a classifier taxonomy.
@@ -58,8 +60,12 @@ func NewRepository(taxonomy *dsc.Taxonomy) *Repository {
 func (r *Repository) Taxonomy() *dsc.Taxonomy { return r.taxonomy }
 
 // Add registers a procedure after checking its classifier and dependencies
-// resolve to operation classifiers in the taxonomy.
+// resolve to operation classifiers in the taxonomy. A sealed repository
+// refuses it.
 func (r *Repository) Add(p *Procedure) error {
+	if r.sealed.Load() {
+		return fmt.Errorf("procedure %q: repository is sealed", p.ID)
+	}
 	if p.ID == "" {
 		return fmt.Errorf("procedure with empty ID")
 	}
@@ -100,11 +106,20 @@ func (r *Repository) MustAdd(p *Procedure) *Procedure {
 	return p
 }
 
+// Seal makes the repository read-only: every later Add and Remove fails.
+// A repository is sealed once it is shared by the platforms of a domain,
+// whose Controllers read it concurrently.
+func (r *Repository) Seal() { r.sealed.Store(true) }
+
 // Get returns the procedure with the given ID, or nil.
 func (r *Repository) Get(id string) *Procedure { return r.procs[id] }
 
-// Remove deletes a procedure. Removing an absent ID is an error.
+// Remove deletes a procedure. Removing an absent ID, or removing from a
+// sealed repository, is an error.
 func (r *Repository) Remove(id string) error {
+	if r.sealed.Load() {
+		return fmt.Errorf("procedure %q: repository is sealed", id)
+	}
 	if _, ok := r.procs[id]; !ok {
 		return fmt.Errorf("procedure %q not found", id)
 	}

@@ -8,10 +8,12 @@
 // resource adapter therefore stalls only the shard its events hash to,
 // not the platform.
 //
-// Shutdown is a graceful drain: Stop closes the intake (further posts are
-// counted rejections), delivers everything already queued, and after a
-// bounded drain deadline (Config.DrainTimeout) counts anything still queued
-// as a drop. Rejections are intake refusals — the event was never
+// A platform starts its pump on the first event posted after Start, so a
+// platform that is never posted an event holds no shard queue or
+// goroutine. Shutdown is a graceful drain: Stop closes the intake
+// (further posts are counted rejections), delivers everything already
+// queued, and after a bounded drain deadline (Config.DrainTimeout) counts
+// anything still queued as a drop. Rejections are intake refusals — the event was never
 // accepted; every accepted event is accounted exactly once, so
 //
 //	posted == delivered + deliver-failures + dead-lettered + dropped
@@ -33,8 +35,9 @@ import (
 )
 
 // pump is one running generation of the platform's sharded event pump.
-// Start creates it, Stop drains and discards it; a restarted platform gets
-// a fresh pump, so a drain can never race a new generation's intake.
+// The first PostEvent on a started platform creates it, Stop (or a
+// supervisor restart) drains and discards it, and the next post creates a
+// fresh one, so a drain can never race a new generation's intake.
 type pump struct {
 	p       *Platform
 	keyAttr string

@@ -670,17 +670,16 @@ func (p *Platform) DeliverEvent(ev broker.Event) error {
 	return err
 }
 
-// Start launches the platform's event pump: PostEvent routes resource
-// events onto N shards (Config.PumpShards, default GOMAXPROCS), each
-// drained by its own goroutine into the Broker layer. Events sharing a
-// shard key are delivered strictly in post order. Start also arms the
-// watchdog supervisor. Start is idempotent.
+// Start arms the platform and its watchdog supervisor for asynchronous
+// events. The event pump itself starts with the first PostEvent: it routes
+// resource events onto N shards (Config.PumpShards, default GOMAXPROCS),
+// each drained by its own goroutine into the Broker layer, and events
+// sharing a shard key are delivered strictly in post order. A platform
+// that is never posted an event holds no shard queue or goroutine. Start
+// is idempotent.
 func (p *Platform) Start() {
 	p.pumpMu.Lock()
 	p.started = true
-	if p.pump == nil {
-		p.startPumpLocked()
-	}
 	p.pumpMu.Unlock()
 	p.sup.start()
 }
@@ -694,17 +693,21 @@ func (p *Platform) startPumpLocked() {
 	p.pump = newPump(p, n, p.cfg.PumpQueue)
 }
 
-// PostEvent enqueues a resource event for asynchronous delivery. It
-// returns false — counting the refusal in the pump.events.rejected metric
-// — when the pump is not running or the event's shard queue is full; it
-// never blocks the caller. A rejected event was never accepted, so it does
-// not participate in the pump's delivery accounting.
+// PostEvent enqueues a resource event for asynchronous delivery, starting
+// the event pump on the first post to a started platform. It returns
+// false — counting the refusal in the pump.events.rejected metric — when
+// the platform is not started (or stopped) or the event's shard queue is
+// full; it never blocks the caller. A rejected event was never accepted,
+// so it does not participate in the pump's delivery accounting.
 func (p *Platform) PostEvent(ev broker.Event) bool {
 	if p.injector.ShouldDrop(SitePumpPost) {
 		p.mRejected.Inc()
 		return false
 	}
 	p.pumpMu.Lock()
+	if p.pump == nil && p.started {
+		p.startPumpLocked()
+	}
 	pu := p.pump
 	p.pumpMu.Unlock()
 	if pu == nil || !pu.post(ev) {
@@ -715,11 +718,11 @@ func (p *Platform) PostEvent(ev broker.Event) bool {
 }
 
 // Stop shuts any autonomic monitor down, disarms the supervisor (waiting
-// out any in-flight restart), then drains the event pump: intake closes
-// (further posts are counted rejections), queued events are delivered
-// until the drain deadline (Config.DrainTimeout), and anything abandoned
-// past it is a counted drop — no accepted event leaves the pump
-// unaccounted.
+// out any in-flight restart), then drains the event pump, if the platform
+// was ever posted an event: intake closes (further posts are counted
+// rejections), queued events are delivered until the drain deadline
+// (Config.DrainTimeout), and anything abandoned past it is a counted drop
+// — no accepted event leaves the pump unaccounted.
 // Stop is idempotent.
 func (p *Platform) Stop() {
 	p.StopMonitor()
@@ -729,8 +732,8 @@ func (p *Platform) Stop() {
 	p.pump = nil
 	p.pumpMu.Unlock()
 	// Disarm before draining the old pump: a concurrent supervisor restart
-	// that already detached the pump will stop it itself and, seeing
-	// started == false, will not install a successor.
+	// that is draining the same pump finishes before sup.stop returns, so
+	// the drain below then finds it closed and returns at once.
 	p.sup.stop()
 	if pu == nil {
 		return
@@ -743,25 +746,23 @@ func (p *Platform) Stop() {
 func (p *Platform) Supervisor() *Supervisor { return p.sup }
 
 // restartPump is the supervisor's restart hook for the event pump: it
-// detaches and drains the quarantined generation, then installs a fresh
-// one — unless the platform stopped in the meantime.
+// drains the quarantined generation and then detaches it, so the next
+// post starts a fresh one. Posts racing the drain meet the closed
+// generation and are counted rejections. A platform that has not been
+// posted an event yet has no pump to restart.
 func (p *Platform) restartPump() error {
 	p.pumpMu.Lock()
-	if !p.started {
-		p.pumpMu.Unlock()
+	old := p.pump
+	p.pumpMu.Unlock()
+	if old == nil {
 		return nil
 	}
-	old := p.pump
-	p.pump = nil
-	p.pumpMu.Unlock()
-	if old != nil {
-		old.stop()
-	}
+	old.stop()
 	p.pumpMu.Lock()
-	defer p.pumpMu.Unlock()
-	if p.started && p.pump == nil {
-		p.startPumpLocked()
+	if p.pump == old {
+		p.pump = nil
 	}
+	p.pumpMu.Unlock()
 	return nil
 }
 

@@ -52,10 +52,8 @@ type Config struct {
 	Metrics *obs.Metrics
 	// Delta switches submissions to incremental delta validation: only the
 	// objects a submission touches (plus the objects referring to them) are
-	// re-checked, instead of re-validating the whole model. Requires the
-	// DSML to compile; falls back to full validation otherwise. Verdicts
-	// and problem reports are identical to full validation by
-	// construction.
+	// re-checked, instead of re-validating the whole model. Verdicts and
+	// problem reports are identical to full validation by construction.
 	Delta bool
 }
 
@@ -94,12 +92,16 @@ type Synthesis struct {
 }
 
 // New builds a Synthesis layer. dispatch must be non-nil; observe may be
-// nil.
+// nil. It refuses an invalid DSML or LTS. Both checks are memoised on the
+// checked value (the DSML's compiled form, the LTS's accepted version),
+// so the layers of many platforms sharing one DSML and LTS check them
+// once.
 func New(cfg Config, dispatch Dispatch, observe ModelObserver) (*Synthesis, error) {
 	if cfg.DSML == nil {
 		return nil, fmt.Errorf("synthesis %s: nil DSML metamodel", cfg.Name)
 	}
-	if err := cfg.DSML.Validate(); err != nil {
+	cm, err := cfg.DSML.Compiled()
+	if err != nil {
 		return nil, fmt.Errorf("synthesis %s: DSML metamodel: %w", cfg.Name, err)
 	}
 	if cfg.LTS == nil {
@@ -125,12 +127,8 @@ func New(cfg Config, dispatch Dispatch, observe ModelObserver) (*Synthesis, erro
 		mDelta:   cfg.Metrics.Counter(obs.MValidateDelta),
 	}
 	if cfg.Delta {
-		// Delta validation needs the compiled layout; a DSML that does not
-		// compile silently keeps the full-validation path.
-		if cm, err := cfg.DSML.Compiled(); err == nil {
-			s.deltaCM = cm
-			s.delta = metamodel.NewDeltaValidator(cm, s.current)
-		}
+		s.deltaCM = cm
+		s.delta = metamodel.NewDeltaValidator(cm, s.current)
 	}
 	s.opCond = sync.NewCond(&s.opMu)
 	return s, nil
@@ -173,6 +171,10 @@ func (s *Synthesis) Name() string { return s.name }
 // against. Hosts that derive external surfaces from the metamodel (the
 // HTTP API provisioner) read it here when the platform has no UI layer.
 func (s *Synthesis) DSML() *metamodel.Metamodel { return s.dsml }
+
+// LTS returns the synthesis semantics the layer interprets. Platforms of
+// one domain share the definition; each layer steps its own instance.
+func (s *Synthesis) LTS() *lts.LTS { return s.instance.Def() }
 
 // CurrentModel returns a deep copy of the running runtime model.
 func (s *Synthesis) CurrentModel() *metamodel.Model {

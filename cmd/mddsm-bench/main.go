@@ -9,8 +9,9 @@
 // Usage:
 //
 //	mddsm-bench [-e e1|e2|e3|e4|e5|e6|mixed|cluster] [-iters N] [-root DIR]
-//	mddsm-bench -e mixed -json BENCH_mixed.json
 //	mddsm-bench -e cluster -json BENCH_cluster.json
+//
+// -json applies to -e cluster only; -e mixed prints its table.
 package main
 
 import (
@@ -34,7 +35,7 @@ func run(args []string) error {
 	exp := fs.String("e", "", "experiment to run (e1..e6, mixed, cluster); empty runs all")
 	iters := fs.Int("iters", 50, "iterations per scenario for timing experiments (e2)")
 	root := fs.String("root", "", "repository root for source-size accounting (e5); auto-detected when empty")
-	jsonOut := fs.String("json", "", `with -e mixed or cluster: write the machine-readable report to this path (e.g. BENCH_mixed.json)`)
+	jsonOut := fs.String("json", "", `with -e cluster: write the machine-readable report to this path (e.g. BENCH_cluster.json)`)
 	common := cliutil.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,7 +68,7 @@ func run(args []string) error {
 			return experiments.ReportE5(w, dir)
 		},
 		"e6":      func() error { return experiments.ReportE6(w) },
-		"mixed":   func() error { return experiments.ReportMixed(w, *jsonOut) },
+		"mixed":   func() error { return experiments.ReportMixed(w) },
 		"cluster": func() error { return experiments.ReportCluster(w, *jsonOut) },
 	}
 	if *exp != "" {

@@ -78,7 +78,7 @@ type Server struct {
 	once  sync.Once
 
 	mu      sync.Mutex
-	writers map[string]*sync.Mutex
+	writers map[string]*writer // tenants with a write in flight
 
 	mRequests, mProblems, mWrites, mWritesRejected *obs.Counter
 	mEvents, mRedirects                            *obs.Counter
@@ -102,7 +102,7 @@ func New(cfg Config) (*Server, error) {
 		obs:     cfg.Obs,
 		mux:     http.NewServeMux(),
 		done:    make(chan struct{}),
-		writers: make(map[string]*sync.Mutex),
+		writers: make(map[string]*writer),
 
 		mRequests:       met.Counter(obs.MAPIRequests),
 		mProblems:       met.Counter(obs.MAPIProblems),
@@ -221,17 +221,38 @@ func (s *Server) redirected(w http.ResponseWriter, r *http.Request, tenant strin
 	return true
 }
 
-// writeLock serialises REST writes per tenant so concurrent
-// read-mutate-submit cycles do not lose updates.
-func (s *Server) writeLock(tenant string) *sync.Mutex {
+// writer serialises the REST writes to one tenant; holders counts the
+// writes holding or waiting for it.
+type writer struct {
+	sync.Mutex
+	holders int
+}
+
+// lockWrites serialises REST writes per tenant so concurrent
+// read-mutate-submit cycles do not lose updates. The table keeps a
+// tenant's entry only while a write on it is in flight, so names that
+// never resolve, and tenants that are gone, leave nothing behind.
+func (s *Server) lockWrites(tenant string) *writer {
+	s.mu.Lock()
+	w, ok := s.writers[tenant]
+	if !ok {
+		w = &writer{}
+		s.writers[tenant] = w
+	}
+	w.holders++
+	s.mu.Unlock()
+	w.Lock()
+	return w
+}
+
+// unlockWrites releases a lockWrites hold.
+func (s *Server) unlockWrites(tenant string, w *writer) {
+	w.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lk, ok := s.writers[tenant]
-	if !ok {
-		lk = &sync.Mutex{}
-		s.writers[tenant] = lk
+	if w.holders--; w.holders == 0 {
+		delete(s.writers, tenant)
 	}
-	return lk
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

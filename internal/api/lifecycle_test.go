@@ -230,3 +230,49 @@ func TestHTTPRaceLifecycle(t *testing.T) {
 		t.Errorf("goroutine leak: %d alive, baseline %d\n%s", got, baseline, buf[:n])
 	}
 }
+
+// TestWriteLockTableHoldsOnlyInFlightWrites: the per-tenant write locks
+// live only while a write on the tenant is in flight. Writes that name
+// unknown tenants (each a 404) and concurrent writes to a real tenant
+// leave the table empty; the real tenant's writes still serialise, so
+// every one of them is accepted.
+func TestWriteLockTableHoldsOnlyInFlightWrites(t *testing.T) {
+	e := newEnv(t, serve.Config{})
+	e.createTenant("real", "cml")
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			url := fmt.Sprintf("/tenants/real/models/cml/objects/w%d", k)
+			if code, body := e.do("PUT", url, map[string]any{
+				"class": "Person", "attrs": map[string]any{"name": "w"},
+			}); code != http.StatusCreated {
+				t.Errorf("PUT %s: %d %s", url, code, body)
+			}
+			for p := 0; p < 3; p++ {
+				if code, body := e.do("PATCH", url, map[string]any{
+					"attrs": map[string]any{"role": fmt.Sprintf("r%d", p)},
+				}); code != http.StatusOK {
+					t.Errorf("PATCH %s: %d %s", url, code, body)
+				}
+			}
+		}(k)
+	}
+	for i := 0; i < 50; i++ {
+		method := "PATCH"
+		if i%5 == 0 {
+			method = "DELETE"
+		}
+		url := fmt.Sprintf("/tenants/ghost%d/models/cml/objects/x", i)
+		if code, body := e.do(method, url, map[string]any{"attrs": map[string]any{"role": "r"}}); code != http.StatusNotFound {
+			t.Errorf("%s %s: %d %s, want 404", method, url, code, body)
+		}
+	}
+	wg.Wait()
+	e.api.mu.Lock()
+	defer e.api.mu.Unlock()
+	if n := len(e.api.writers); n != 0 {
+		t.Errorf("write-lock table holds %d entries after every write finished, want 0", n)
+	}
+}

@@ -189,9 +189,8 @@ func (s *Server) writeObject(w http.ResponseWriter, r *http.Request, tenant, id 
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, tenant string,
 	fn func(next *metamodel.Model, mm *metamodel.Metamodel) bool,
 	respond func()) {
-	lk := s.writeLock(tenant)
-	lk.Lock()
-	defer lk.Unlock()
+	lk := s.lockWrites(tenant)
+	defer s.unlockWrites(tenant, lk)
 	next, mm, ok := s.model(w, r, tenant)
 	if !ok {
 		return

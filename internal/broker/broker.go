@@ -3,7 +3,7 @@
 // underlying resources and services for the actual execution of commands.
 // Its configuration mirrors the Broker metamodel: a main manager exposing
 // the layer interface and dispatching calls and events to actions selected
-// by handlers, plus specialised managers for state, policies, autonomic
+// by handlers, plus specialised managers for state, context, autonomic
 // behaviour and resource access.
 package broker
 
@@ -206,7 +206,6 @@ type Config struct {
 	Name         string
 	Actions      []*Action
 	EventActions []*EventAction
-	Policies     []policy.Policy
 	Symptoms     []Symptom
 	ChangePlans  []ChangePlan
 	// Tracer and Metrics observe the layer; both may be nil (disabled),
@@ -231,19 +230,18 @@ type Broker struct {
 	name      string
 	state     *State
 	context   *policy.Context
-	engine    *policy.Engine
 	resources *ResourceManager
 	actions   []*Action
 	events    []*EventAction
 	autonomic *Autonomic
-	notify    func(Event) // upward event propagation (to Controller)
+	notify    func(Event) error // upward event propagation (to Controller)
+	drain     *Drain
 
-	tracer            *obs.Tracer
-	mCalls            *obs.Counter
-	mSteps            *obs.Counter
-	mEvents           *obs.Counter
-	mPanics           *obs.Counter
-	mReentrantDropped *obs.Counter
+	tracer  *obs.Tracer
+	mCalls  *obs.Counter
+	mSteps  *obs.Counter
+	mEvents *obs.Counter
+	mPanics *obs.Counter
 
 	injector    *fault.Injector
 	retryer     *fault.Retryer
@@ -252,19 +250,17 @@ type Broker struct {
 	breakerOpts []fault.BreakerOption
 	brkMu       sync.Mutex
 	breakers    map[string]*fault.Breaker
-
-	evMu     sync.Mutex
-	evQueues map[uint64]*evQueue // per-goroutine re-entrancy queues
 }
 
 // New builds a Broker from a configuration. resources must carry the
-// adapter bindings; notify may be nil for topmost/standalone use.
-func New(cfg Config, resources *ResourceManager, notify func(Event)) *Broker {
+// adapter bindings; notify may be nil for topmost/standalone use. A
+// notify error fails the event being processed, like a failed event
+// action.
+func New(cfg Config, resources *ResourceManager, notify func(Event) error) *Broker {
 	b := &Broker{
 		name:      cfg.Name,
 		state:     NewState(),
 		context:   policy.NewContext(),
-		engine:    policy.NewEngine(cfg.Policies...),
 		resources: resources,
 		actions:   cfg.Actions,
 		events:    cfg.EventActions,
@@ -273,9 +269,7 @@ func New(cfg Config, resources *ResourceManager, notify func(Event)) *Broker {
 		mCalls:    cfg.Metrics.Counter(obs.MBrokerCalls),
 		mSteps:    cfg.Metrics.Counter(obs.MBrokerSteps),
 		mEvents:   cfg.Metrics.Counter(obs.MBrokerEvents),
-
-		mPanics:           cfg.Metrics.Counter(obs.MPanicsRecovered),
-		mReentrantDropped: cfg.Metrics.Counter(obs.MBrokerReentrantDropped),
+		mPanics:   cfg.Metrics.Counter(obs.MPanicsRecovered),
 
 		injector:    cfg.Injector,
 		retryer:     fault.NewRetryer(cfg.Resilience.Retry, fault.RetryMetrics(cfg.Metrics)),
@@ -289,6 +283,7 @@ func New(cfg Config, resources *ResourceManager, notify func(Event)) *Broker {
 		}
 	}
 	b.autonomic = newAutonomic(b, cfg.Symptoms, cfg.ChangePlans)
+	b.drain = NewDrain(SiteEvent, cfg.Metrics.Counter(obs.MBrokerReentrantDropped), b.mPanics)
 	return b
 }
 
@@ -306,9 +301,6 @@ func (b *Broker) Resources() *ResourceManager { return b.resources }
 
 // Autonomic returns the autonomic manager.
 func (b *Broker) Autonomic() *Autonomic { return b.autonomic }
-
-// Policies returns the layer's policy engine.
-func (b *Broker) Policies() *policy.Engine { return b.engine }
 
 // callScope builds the evaluation scope for a call: context variables,
 // then op/target/args (args flattened by name, shadowing context).
@@ -498,19 +490,16 @@ func (b *Broker) execAttempt(cmd script.Command) (err error) {
 }
 
 // OnEvent is the layer's event entry point: resource adapters push events
-// here. Re-entrant events — emitted by an action while this goroutine is
-// already processing one — join that goroutine's queue rather than recurse,
-// preserving arrival order per caller. Distinct goroutines (e.g. the
-// runtime's pump shards) process their events concurrently; the downstream
-// managers are individually locked. The first processing error is reported
-// to the caller that started the goroutine's drain.
-//
-// A handler panic escaping the drain is recovered and returned as a
-// fault.PanicError: the goroutine's queue entry is cleaned up (leaving it
-// behind would silently swallow every later event on that goroutine ID) and
-// any re-entrant events still queued behind the poisoned one are dropped as
-// counted losses ("broker.events.reentrant.dropped").
-func (b *Broker) OnEvent(ev Event) (err error) {
+// here. Events pass the SiteEvent fault point, then the layer's drain
+// (drain.go): a re-entrant event — emitted by an action while this
+// goroutine is already processing one — joins that goroutine's queue
+// rather than recursing, while distinct goroutines (e.g. the runtime's pump
+// shards) process their events concurrently; the downstream managers are
+// individually locked. The caller that started the goroutine's drain gets
+// the drain's first error, an upper layer's failure included, or a
+// recovered fault.PanicError (re-entrant events queued behind a panic
+// count in "broker.events.reentrant.dropped").
+func (b *Broker) OnEvent(ev Event) error {
 	return b.OnEventFrom(obs.GoID(), ev)
 }
 
@@ -526,54 +515,23 @@ func (b *Broker) OnEventFrom(g uint64, ev Event) (err error) {
 		}
 		return err
 	}
-	b.evMu.Lock()
-	if q, ok := b.evQueues[g]; ok {
-		q.items = append(q.items, ev)
-		b.evMu.Unlock()
-		return nil
+	q := b.drain.Start(g, ev)
+	if q == nil {
+		return nil // queued behind this goroutine's running drain
 	}
-	if b.evQueues == nil {
-		b.evQueues = make(map[uint64]*evQueue)
-	}
-	dq := acquireEvQueue()
-	dq.items = append(dq.items, ev)
-	b.evQueues[g] = dq
-	b.evMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			b.evMu.Lock()
-			dropped := len(dq.items) - dq.head
-			delete(b.evQueues, g)
-			b.evMu.Unlock()
-			b.mReentrantDropped.Add(int64(dropped))
-			b.mPanics.Inc()
-			releaseEvQueue(dq)
-			err = fault.Recovered(SiteEvent, r)
-		}
-	}()
-
-	var firstErr error
-	for {
-		b.evMu.Lock()
-		if dq.head == len(dq.items) {
-			delete(b.evQueues, g)
-			b.evMu.Unlock()
-			releaseEvQueue(dq)
-			return firstErr
-		}
-		next := dq.items[dq.head]
-		dq.items[dq.head] = Event{}
-		dq.head++
-		b.evMu.Unlock()
-		if err := b.processEvent(next); err != nil && firstErr == nil {
-			firstErr = err
+	defer b.drain.Recover(q, &err)
+	for next, ok := b.drain.Next(q); ok; next, ok = b.drain.Next(q) {
+		if perr := b.processEvent(next); perr != nil && err == nil {
+			err = perr
 		}
 	}
+	return err
 }
 
 // processEvent runs matching event actions, forwards upward when asked (or
 // when unmatched), then lets the autonomic manager evaluate its symptoms.
+// An event-action failure returns before the forward; otherwise the
+// autonomic manager's error wins over the upper layer's.
 func (b *Broker) processEvent(ev Event) error {
 	b.mEvents.Inc()
 	sp := b.tracer.Start(obs.SpanBrokerEvent)
@@ -611,8 +569,12 @@ func (b *Broker) processEvent(ev Event) error {
 	if firstErr != nil {
 		return firstErr
 	}
+	var notifyErr error
 	if (!matched || forward) && b.notify != nil {
-		b.notify(ev)
+		notifyErr = b.notify(ev)
 	}
-	return b.autonomic.Evaluate()
+	if err := b.autonomic.Evaluate(); err != nil {
+		return err
+	}
+	return notifyErr
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/expr"
-	"github.com/mddsm/mddsm/internal/policy"
 	"github.com/mddsm/mddsm/internal/script"
 )
 
@@ -31,7 +30,7 @@ func testBroker(t *testing.T, cfg Config) (*Broker, *recorder, *[]Event) {
 	rm := NewResourceManager()
 	rm.Register("*", rec)
 	var upward []Event
-	b := New(cfg, rm, func(e Event) { upward = append(upward, e) })
+	b := New(cfg, rm, func(e Event) error { upward = append(upward, e); return nil })
 	return b, rec, &upward
 }
 
@@ -384,12 +383,9 @@ func TestUnboundSymptomIsSkipped(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	b, _, _ := testBroker(t, Config{Name: "nb", Policies: []policy.Policy{policy.Rule("p", 1, "true")}})
+	b, _, _ := testBroker(t, Config{Name: "nb"})
 	if b.Name() != "nb" {
 		t.Error("Name")
-	}
-	if b.Policies().Len() != 1 {
-		t.Error("Policies")
 	}
 	if b.Resources() == nil || b.State() == nil || b.Context() == nil || b.Autonomic() == nil {
 		t.Error("accessors")

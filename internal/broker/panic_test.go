@@ -45,13 +45,14 @@ func TestOnEventDrainPanicCleansQueue(t *testing.T) {
 			Steps:   []Step{{Op: "reenter", Target: "x"}},
 			Forward: true,
 		}},
-	}, rm, func(ev Event) {
+	}, rm, func(ev Event) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if panicked {
 			panic("poisoned notify")
 		}
 		notified = append(notified, ev.Name)
+		return nil
 	})
 
 	err := b.OnEvent(Event{Name: "boom"})

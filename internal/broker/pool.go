@@ -2,9 +2,9 @@
 // path. The runtime's pump posts one Event per resource notification, and
 // profiling showed the steady-state allocation profile was dominated by
 // three maps born and discarded per event: the event's Attrs payload, the
-// per-goroutine re-entrancy queue entry in OnEvent, and the evaluation
-// scope processEvent builds for guards and step expansion. All three are
-// recycled here.
+// per-goroutine re-entrancy queue entry in the drain (drain.go), and the
+// evaluation scope processEvent builds for guards and step expansion. All
+// three are recycled.
 //
 // Ownership of a pooled event is linear: the producer that acquired it
 // either releases it itself (when the post was refused) or transfers it
@@ -119,23 +119,4 @@ func boxString(s string) any {
 		boxedNames[s] = v
 	}
 	return v
-}
-
-// Re-entrancy queue entries for OnEvent: one per goroutine currently
-// draining events, recycled across drains.
-
-type evQueue struct {
-	items []Event
-	head  int
-}
-
-var evqPool = sync.Pool{New: func() any { return new(evQueue) }}
-
-func acquireEvQueue() *evQueue { return evqPool.Get().(*evQueue) }
-
-func releaseEvQueue(q *evQueue) {
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head = 0
-	evqPool.Put(q)
 }

@@ -130,22 +130,18 @@ type Controller struct {
 	repo     *registry.Repository
 	gen      *intent.Generator
 	machine  *eu.Machine
-	notify   func(broker.Event)
+	notify   func(broker.Event) error
+	drain    *broker.Drain
 
 	tracer    *obs.Tracer
 	mCommands *obs.Counter
 	mScripts  *obs.Counter
 	mEvents   *obs.Counter
 	mDenials  *obs.Counter
-
-	mPanics           *obs.Counter
-	mReentrantDropped *obs.Counter
+	mPanics   *obs.Counter
 
 	mu    sync.Mutex
 	stats Stats
-
-	evMu     sync.Mutex
-	evQueues map[uint64][]broker.Event // per-goroutine re-entrancy queues
 }
 
 // clockCharger charges machine time against a clock.
@@ -166,8 +162,9 @@ func (s eventSink) Emit(event string, args map[string]any) {
 }
 
 // New builds a Controller on top of a Broker. notify receives events
-// forwarded to the Synthesis layer and may be nil.
-func New(cfg Config, b BrokerAPI, notify func(broker.Event)) *Controller {
+// forwarded to the Synthesis layer and may be nil; its error fails the
+// event being processed.
+func New(cfg Config, b BrokerAPI, notify func(broker.Event) error) *Controller {
 	c := &Controller{
 		name:      cfg.Name,
 		broker:    b,
@@ -183,10 +180,10 @@ func New(cfg Config, b BrokerAPI, notify func(broker.Event)) *Controller {
 		mScripts:  cfg.Metrics.Counter(obs.MScriptsExecuted),
 		mEvents:   cfg.Metrics.Counter(obs.MControllerEvents),
 		mDenials:  cfg.Metrics.Counter(obs.MPolicyDenials),
-
-		mPanics:           cfg.Metrics.Counter(obs.MPanicsRecovered),
-		mReentrantDropped: cfg.Metrics.Counter(obs.MControllerReentrantDropped),
+		mPanics:   cfg.Metrics.Counter(obs.MPanicsRecovered),
 	}
+	c.drain = broker.NewDrain("controller.event",
+		cfg.Metrics.Counter(obs.MControllerReentrantDropped), c.mPanics)
 	for _, cl := range cfg.Classes {
 		c.classes[cl.Op] = cl.GoalDSC
 	}
@@ -442,61 +439,31 @@ func (c *Controller) runIntent(cmd script.Command, scope expr.MapScope) error {
 	return c.machine.Run(m.Frames(), vars)
 }
 
-// OnEvent is the event handler entry point: events from the Broker layer
-// (or raised internally by EUs) are queued and drained in arrival order per
-// goroutine. An event raised by an EU mid-processing joins the raising
-// goroutine's queue instead of recursing into the machine; events arriving
-// on distinct goroutines are processed concurrently.
-//
-// A handler panic escaping the drain is recovered and returned as a
-// fault.PanicError: the goroutine's queue entry is cleaned up (a leaked
-// entry would silently swallow every later event on that goroutine ID) and
-// re-entrant events still queued behind the poisoned one are dropped as
-// counted losses ("controller.events.reentrant.dropped").
+// OnEvent is the event handler entry point for events from the Broker
+// layer or raised internally by EUs. They pass through the layer's drain
+// (broker.Drain): an event raised by an EU mid-processing joins the raising
+// goroutine's queue instead of recursing into the machine, and events
+// arriving on distinct goroutines are processed concurrently. The caller
+// that started the goroutine's drain gets the drain's first error, the
+// Synthesis layer's failure included, or a recovered fault.PanicError
+// (re-entrant events queued behind a panic count in
+// "controller.events.reentrant.dropped").
 func (c *Controller) OnEvent(ev broker.Event) (err error) {
-	g := obs.GoID()
-	c.evMu.Lock()
-	if q, ok := c.evQueues[g]; ok {
-		c.evQueues[g] = append(q, ev)
-		c.evMu.Unlock()
-		return nil
+	q := c.drain.Start(obs.GoID(), ev)
+	if q == nil {
+		return nil // queued behind this goroutine's running drain
 	}
-	if c.evQueues == nil {
-		c.evQueues = make(map[uint64][]broker.Event)
-	}
-	c.evQueues[g] = []broker.Event{ev}
-	c.evMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			c.evMu.Lock()
-			dropped := len(c.evQueues[g])
-			delete(c.evQueues, g)
-			c.evMu.Unlock()
-			c.mReentrantDropped.Add(int64(dropped))
-			c.mPanics.Inc()
-			err = fault.Recovered("controller.event", r)
-		}
-	}()
-
-	var firstErr error
-	for {
-		c.evMu.Lock()
-		q := c.evQueues[g]
-		if len(q) == 0 {
-			delete(c.evQueues, g)
-			c.evMu.Unlock()
-			return firstErr
-		}
-		next := q[0]
-		c.evQueues[g] = q[1:]
-		c.evMu.Unlock()
-		if err := c.processEvent(next); err != nil && firstErr == nil {
-			firstErr = err
+	defer c.drain.Recover(q, &err)
+	for next, ok := c.drain.Next(q); ok; next, ok = c.drain.Next(q) {
+		if perr := c.processEvent(next); perr != nil && err == nil {
+			err = perr
 		}
 	}
+	return err
 }
 
+// processEvent runs the steps of each matching event action to the end and
+// reports the first failure; a failed event is not forwarded upward.
 func (c *Controller) processEvent(ev broker.Event) error {
 	c.mu.Lock()
 	c.stats.Events++
@@ -551,7 +518,7 @@ func (c *Controller) processEvent(ev broker.Event) error {
 		return firstErr
 	}
 	if (!matched || forward) && c.notify != nil {
-		c.notify(ev)
+		return c.notify(ev)
 	}
 	return nil
 }

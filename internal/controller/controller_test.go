@@ -65,7 +65,7 @@ func repo(t testing.TB) *registry.Repository {
 func newController(t testing.TB, cfg Config, b BrokerAPI) (*Controller, *[]broker.Event) {
 	t.Helper()
 	var upward []broker.Event
-	c := New(cfg, b, func(e broker.Event) { upward = append(upward, e) })
+	c := New(cfg, b, func(e broker.Event) error { upward = append(upward, e); return nil })
 	return c, &upward
 }
 

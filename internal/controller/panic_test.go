@@ -75,13 +75,14 @@ func TestOnEventDrainPanicCleansQueue(t *testing.T) {
 			Steps:   []script.Template{{Op: "reenter", Target: "x"}},
 			Forward: true,
 		}},
-	}, fb, func(ev broker.Event) {
+	}, fb, func(ev broker.Event) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if panicked {
 			panic("poisoned notify")
 		}
 		notified = append(notified, ev.Name)
+		return nil
 	})
 
 	err := c.OnEvent(broker.Event{Name: "boom"})

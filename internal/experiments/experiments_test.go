@@ -42,6 +42,17 @@ func TestE2ModelBasedIsSlower(t *testing.T) {
 	if avg <= 0 {
 		t.Errorf("model-based broker should be slower on average, got %.1f%%", avg)
 	}
+	// The magnitude is pinned too: both sides run in this process, so the
+	// host's speed cancels out. The ceiling is twice the highest reading
+	// of the model-based path before its event routing was rewritten
+	// (+1,296 %, plain and -race runs on a 2-vCPU Xeon), which the
+	// goroutine-ID reads on every event dominate. Passing delivery
+	// context explicitly instead removes those reads and should bring E2
+	// near +145 %; lower the ceiling when it does.
+	const ceiling = 2600.0
+	if avg > ceiling {
+		t.Errorf("model-based broker overhead %.1f%% exceeds the %.0f%% ceiling", avg, ceiling)
+	}
 	t.Logf("average model-based overhead: %.1f%% (paper: ~17%%)", avg)
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -26,7 +25,7 @@ import (
 // mid-run evict/rehydrate churn. The run asserts the PR-3/PR-4 exact
 // accounting invariant per tenant (posted = delivered + failures +
 // dead-lettered + dropped) and reports the per-bundle ledgers.
-// mddsm-bench -e mixed prints the table; -json writes BENCH_mixed.json.
+// mddsm-bench -e mixed prints the table.
 
 // MixedConfig parameterises one mixed-workload run. The zero value
 // selects the canonical benchmark shape (DefaultMixedConfig).
@@ -131,10 +130,10 @@ type MixedBundleRow struct {
 	Rejected     int64  `json:"rejected"`
 }
 
-// MixedReport is the machine-readable record of one mixed-workload run.
-// Every field except the two wall-clock ones (EventsPerSec, WallNs) is a
-// pure function of the config — CanonicalJSON zeroes those two, and the
-// remaining bytes are the determinism witness CI compares.
+// MixedReport is the record of one mixed-workload run. Every field except
+// the two wall-clock ones (EventsPerSec, WallNs) is a pure function of the
+// config — CanonicalJSON zeroes those two, and the remaining bytes are the
+// determinism witness the tests compare.
 type MixedReport struct {
 	Seed             int64            `json:"seed"`
 	Tenants          int              `json:"tenants"`
@@ -398,10 +397,9 @@ func (mt *mixedTenant) nextEvent() broker.Event {
 	}}
 }
 
-// ReportMixed runs the canonical mixed workload, prints the per-bundle
-// table and, when jsonPath is non-empty, writes the machine-readable
-// record (BENCH_mixed.json) there.
-func ReportMixed(w io.Writer, jsonPath string) error {
+// ReportMixed runs the canonical mixed workload and prints the per-bundle
+// table.
+func ReportMixed(w io.Writer) error {
 	rep, err := MeasureMixed(MixedConfig{})
 	if err != nil {
 		return err
@@ -432,15 +430,5 @@ func ReportMixed(w io.Writer, jsonPath string) error {
 		fmt.Sprintf("%d/%d events admitted at %.0f events/sec (wall %s, drain included)",
 			rep.Accepted, rep.Events, rep.EventsPerSec, time.Duration(rep.WallNs)))
 	t.Print(w)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n\n", jsonPath)
-	}
 	return nil
 }

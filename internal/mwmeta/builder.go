@@ -237,12 +237,6 @@ func (bb *BrokerBuilder) EventAction(name, event, guard string, forward bool, st
 	return bb
 }
 
-// Policy adds a policy to the layer.
-func (bb *BrokerBuilder) Policy(p PolicySpec) *BrokerBuilder {
-	bb.layer.AddRef("policies", addPolicy(bb.b, p).ID)
-	return bb
-}
-
 // Symptom declares an autonomic symptom.
 func (bb *BrokerBuilder) Symptom(name, condition string) *BrokerBuilder {
 	o := bb.b.model.NewObject(bb.b.id("sym"), ClassSymptom).

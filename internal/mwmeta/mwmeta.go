@@ -90,7 +90,6 @@ func build() *metamodel.Metamodel {
 		References: []metamodel.Reference{
 			{Name: "actions", Target: ClassAction, Containment: true, Many: true},
 			{Name: "eventActions", Target: ClassEventAction, Containment: true, Many: true},
-			{Name: "policies", Target: ClassPolicy, Containment: true, Many: true},
 			{Name: "symptoms", Target: ClassSymptom, Containment: true, Many: true},
 			{Name: "changePlans", Target: ClassChangePlan, Containment: true, Many: true},
 			{Name: "bindings", Target: ClassResourceBinding, Containment: true, Many: true},

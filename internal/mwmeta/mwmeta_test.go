@@ -58,8 +58,7 @@ func TestBuilderProducesConformingModel(t *testing.T) {
 		EventAction("fwd", "*", "", true).
 		Symptom("low", "battery < 20").
 		ChangePlan("low", StepSpec{Op: "shed", Target: "d:1"}).
-		Bind("*", "main").
-		Policy(PolicySpec{Name: "p", Priority: 1, Condition: "true"})
+		Bind("*", "main")
 
 	if err := b.Validate(); err != nil {
 		t.Fatalf("builder model must conform: %v", err)
@@ -78,6 +77,23 @@ func TestBuilderProducesConformingModel(t *testing.T) {
 	steps := m.ObjectsOf(ClassStep)
 	if len(steps) != 4 {
 		t.Errorf("steps: %d", len(steps))
+	}
+}
+
+// TestBrokerLayerDeclaresNoPolicies: policy rules are a Controller
+// feature. A Broker layer that declares one does not conform, rather than
+// carrying a rule the Broker never consults.
+func TestBrokerLayerDeclaresNoPolicies(t *testing.T) {
+	b := NewBuilder("vm", "d")
+	b.BrokerLayer("ncb").Bind("*", "main")
+	pol := b.Model().NewObject("pol-x", ClassPolicy).
+		SetAttr("name", "p").SetAttr("condition", "true")
+	for _, o := range b.Model().ObjectsOf(ClassBrokerLayer) {
+		o.AddRef("policies", pol.ID)
+	}
+	err := b.Validate()
+	if err == nil || !strings.Contains(err.Error(), "policies") {
+		t.Fatalf("got %v, want a conformance error naming policies", err)
 	}
 }
 

@@ -721,7 +721,8 @@ func GoID() uint64 { return goid() }
 // goidBufPool recycles the header buffers goid hands to runtime.Stack.
 // runtime.Stack's argument always escapes, so a local array would be a
 // fresh heap allocation per call — and goid runs at least twice per
-// delivered event (re-entrancy queueing and route-error pickup).
+// synchronously delivered event (the Broker's and the Controller's
+// re-entrancy drains).
 var goidBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 64)
 	return &b

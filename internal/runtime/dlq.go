@@ -140,12 +140,6 @@ func (p *Platform) safeBrokerOnEvent(g uint64, ev broker.Event) (err error) {
 			p.mPanics.Inc()
 			err = fault.Recovered("pump.deliver", r)
 		}
-		// A failure in an upper layer (Controller, Synthesis) cannot cross
-		// the Broker's notify callback as a return value; pick up the
-		// stashed routing error so the event dead-letters.
-		if rerr := p.takeRouteErrorFrom(g); err == nil {
-			err = rerr
-		}
 	}()
 	return p.Broker.OnEventFrom(g, ev)
 }

@@ -205,8 +205,8 @@ func (pu *pump) post(ev broker.Event) bool {
 func (pu *pump) run(sh *shard) {
 	defer pu.wg.Done()
 	// The worker goroutine is fixed for the pump's lifetime, so its ID —
-	// needed by the broker's reentrancy guard and the routing-error pickup
-	// — is resolved once here instead of being re-parsed per event.
+	// needed by the Broker's re-entrancy drain — is resolved once here
+	// instead of being re-parsed per event.
 	g := obs.GoID()
 	for ev := range sh.ch {
 	batch:

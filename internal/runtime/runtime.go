@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mddsm/mddsm/internal/broker"
@@ -102,17 +101,6 @@ type Platform struct {
 	extMu    sync.Mutex
 	external func(broker.Event)
 
-	// routeErrs carries upper-layer event-handling failures back to the
-	// delivery in flight, keyed by goroutine ID (routing is synchronous):
-	// the Broker's notify callback cannot return an error, yet a failed
-	// forward must fail the delivery so the event dead-letters.
-	routeMu   sync.Mutex
-	routeErrs map[uint64]error
-	// routePending counts stashed routing errors so the per-delivery
-	// pickup can skip the lock (and the goroutine-ID parse) entirely in
-	// the overwhelmingly common no-failure case.
-	routePending atomic.Int32
-
 	tracer   *obs.Tracer
 	metrics  *obs.Metrics
 	injector *fault.Injector
@@ -187,11 +175,10 @@ func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	p := &Platform{
-		tracer:    deps.Tracer,
-		metrics:   deps.Metrics,
-		injector:  deps.Injector,
-		routeErrs: map[uint64]error{},
-		cfg:       cfg.withDefaults(),
+		tracer:   deps.Tracer,
+		metrics:  deps.Metrics,
+		injector: deps.Injector,
+		cfg:      cfg.withDefaults(),
 	}
 	platforms := work.ObjectsOf(mwmeta.ClassPlatform)
 	if len(platforms) != 1 {
@@ -271,74 +258,32 @@ func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// routeBrokerEvent forwards Broker events to the Controller or the external
-// sink. The notify callback cannot return an error, so an upper-layer
-// failure is stashed for the delivery in flight on this goroutine — the
-// pump (or DeliverEvent) picks it up and the event dead-letters instead of
-// counting delivered.
-func (p *Platform) routeBrokerEvent(ev broker.Event) {
+// routeBrokerEvent forwards Broker events to the Controller, or to the
+// external sink when the platform has none. The Controller's failure is
+// the Broker's notify result, so it fails the delivery in flight and the
+// event dead-letters instead of counting delivered.
+func (p *Platform) routeBrokerEvent(ev broker.Event) error {
 	if p.Controller != nil {
-		if err := p.Controller.OnEvent(ev); err != nil {
-			p.noteRouteError(err)
-		}
-		return
+		return p.Controller.OnEvent(ev)
 	}
 	if ext := p.externalSink(); ext != nil {
 		ext(ev)
 	}
+	return nil
 }
 
 // routeControllerEvent forwards Controller events to the Synthesis layer
 // and then to the external observer (which is the sole consumer when the
-// platform has no Synthesis layer).
-func (p *Platform) routeControllerEvent(ev broker.Event) {
+// platform has no Synthesis layer). It returns the Synthesis layer's
+// failure.
+func (p *Platform) routeControllerEvent(ev broker.Event) error {
+	var err error
 	if p.Synthesis != nil {
-		if err := p.Synthesis.OnEvent(ev); err != nil {
-			p.noteRouteError(err)
-		}
+		err = p.Synthesis.OnEvent(ev)
 	}
 	if ext := p.externalSink(); ext != nil {
 		ext(ev)
 	}
-}
-
-// noteRouteError records the first upper-layer event-handling failure of
-// the delivery in flight on this goroutine. Event routing is synchronous,
-// so the goroutine ID keys exactly one delivery at a time.
-func (p *Platform) noteRouteError(err error) {
-	id := obs.GoID()
-	p.routeMu.Lock()
-	if _, dup := p.routeErrs[id]; !dup {
-		p.routeErrs[id] = err
-		p.routePending.Add(1)
-	}
-	p.routeMu.Unlock()
-}
-
-// takeRouteError returns and clears this goroutine's stashed routing
-// failure, if any. A goroutine's own stash is always visible here: the
-// note happened earlier on this same goroutine, so the pending counter is
-// non-zero by program order and the slow path runs.
-func (p *Platform) takeRouteError() error {
-	if p.routePending.Load() == 0 {
-		return nil
-	}
-	return p.takeRouteErrorFrom(obs.GoID())
-}
-
-// takeRouteErrorFrom is takeRouteError for callers that already resolved
-// their goroutine ID.
-func (p *Platform) takeRouteErrorFrom(id uint64) error {
-	if p.routePending.Load() == 0 {
-		return nil
-	}
-	p.routeMu.Lock()
-	err := p.routeErrs[id]
-	if err != nil {
-		delete(p.routeErrs, id)
-		p.routePending.Add(-1)
-	}
-	p.routeMu.Unlock()
 	return err
 }
 
@@ -381,12 +326,6 @@ func (p *Platform) buildBroker(model *metamodel.Model, obj *metamodel.Object, de
 			Steps: ea.steps, Forward: ea.forward,
 		})
 	}
-	pols, err := buildPolicies(model, obj)
-	if err != nil {
-		return err
-	}
-	cfg.Policies = pols
-
 	for _, symObj := range model.Resolve(obj, "symptoms") {
 		cond, err := expr.Parse(symObj.StringAttr("condition"))
 		if err != nil {
@@ -662,12 +601,7 @@ func (p *Platform) Execute(s *script.Script) error {
 // layer (deterministic path used by tests and virtual-time experiments).
 // A failure anywhere up the layer stack fails the delivery.
 func (p *Platform) DeliverEvent(ev broker.Event) error {
-	g := obs.GoID()
-	err := p.Broker.OnEventFrom(g, ev)
-	if rerr := p.takeRouteErrorFrom(g); err == nil {
-		err = rerr
-	}
-	return err
+	return p.Broker.OnEvent(ev)
 }
 
 // Start arms the platform and its watchdog supervisor for asynchronous

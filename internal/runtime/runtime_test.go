@@ -399,7 +399,8 @@ func TestBuildConsistencyErrors(t *testing.T) {
 	})
 	t.Run("bad policy condition", func(t *testing.T) {
 		b := mwmeta.NewBuilder("vm", "d")
-		b.BrokerLayer("br").Policy(mwmeta.PolicySpec{Name: "p", Condition: "(("}).Bind("*", "main")
+		b.ControllerLayer("c").Policy(mwmeta.PolicySpec{Name: "p", Condition: "(("}).Done()
+		b.BrokerLayer("br").Bind("*", "main")
 		_, err := Build(b.Model(), Deps{Adapters: adapters}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "policy") {
 			t.Errorf("got %v", err)

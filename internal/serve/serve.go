@@ -380,20 +380,25 @@ func (s *Server) residentLocked(name string) (*tenant, error) {
 // quota and the pump's bounded queue. Both refusals are exactly counted:
 // a throttle in the server's serve.events.throttled and the tenant's
 // pump.events.rejected, an overflow in the tenant's pump.events.rejected
-// alone (the pump counts it).
+// alone (the pump counts it). Like acquire, it resolves the tenant and
+// registers the post as in flight in one critical section, so eviction
+// waits for the post instead of stopping the platform under it.
 func (s *Server) PostEvent(name string, ev broker.Event) error {
-	t, err := s.resident(name)
+	s.mu.Lock()
+	t, err := s.residentLocked(name)
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
-	ok := t.bucket.allow(s.now())
-	s.mu.Unlock()
-	if !ok {
+	if !t.bucket.allow(s.now()) {
+		s.mu.Unlock()
 		s.mThrottled.Inc()
 		t.obs.MetricsOf().Counter(obs.MEventsRejected).Inc()
 		return fmt.Errorf("serve: tenant %q %w", name, ErrThrottled)
 	}
+	t.ops.RLock()
+	s.mu.Unlock()
+	defer t.ops.RUnlock()
 	if !t.inst.Platform.PostEvent(ev) {
 		return fmt.Errorf("serve: tenant %q %w", name, ErrQueueFull)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/mddsm/mddsm/internal/broker"
 	_ "github.com/mddsm/mddsm/internal/domains/all"
+	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/remote"
@@ -470,6 +471,51 @@ func TestEvictionKeepsAcknowledgedWrites(t *testing.T) {
 	}
 	if len(lost) > 0 {
 		t.Errorf("%d of %d acknowledged writes lost to eviction: %v", len(lost), len(acked), lost)
+	}
+}
+
+// TestPostEventHoldsTenantAgainstEviction: PostEvent keeps its tenant
+// resident from the lookup to the post, as every other operation does.
+// With one residency slot, reading tenant b evicts tenant a. A one-shot
+// delay fault at pump.post runs such a read while a post to a is between
+// its lookup and its enqueue. The eviction must wait for the post, which
+// is then accepted and drained into a's ledger. It used to complete first
+// and stop a's platform under the post, which was refused with
+// ErrQueueFull although the queue was empty.
+func TestPostEventHoldsTenantAgainstEviction(t *testing.T) {
+	var s *Server
+	read := make(chan error, 1)
+	in := fault.NewInjector(1, fault.WithSleep(func(time.Duration) {
+		go func() {
+			_, _, err := s.Model("b")
+			read <- err
+		}()
+		select {
+		case err := <-read:
+			read <- err // the eviction finished while the post was in flight
+		case <-time.After(100 * time.Millisecond):
+		}
+	}))
+	in.Arm(runtime.SitePumpPost, fault.Spec{Kind: fault.Delay, Limit: 1})
+	s = NewServer(Config{MaxResident: 1, Injector: in})
+	defer s.Close()
+	for _, name := range []string{"a", "b"} {
+		if err := s.Create(name, "cml"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PostEvent("a", broker.Event{Name: "tick"}); err != nil {
+		t.Fatalf("post racing an eviction: %v", err)
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Accounting("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Resident || a.Posted != 1 || !a.Exact() {
+		t.Errorf("ledger = %+v, want a parked with 1 posted and exact", a)
 	}
 }
 

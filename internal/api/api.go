@@ -8,7 +8,7 @@
 //
 // Routes:
 //
-//	GET    /healthz                                     supervisor state
+//	GET    /healthz                                     liveness
 //	GET    /metrics                                     Prometheus text
 //	GET    /tenants                                     tenant directory
 //	POST   /tenants/{tenant}                            create (body {"bundle": ...})
@@ -255,30 +255,20 @@ func (s *Server) unlockWrites(tenant string, w *writer) {
 	}
 }
 
+// handleHealthz answers liveness: a node that can answer is up. A
+// tenant's failed events are its own accounting (GET /tenants/{tenant}),
+// not the node's health.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	comps := s.serve.Health()
-	status, code := "ok", http.StatusOK
-	for _, h := range comps {
-		switch h {
-		case "quarantined":
-			status, code = "quarantined", http.StatusServiceUnavailable
-		case "degraded":
-			if status == "ok" {
-				status = "degraded"
-			}
-		}
-	}
 	doc := map[string]any{
-		"status":     status,
-		"resident":   s.serve.Resident(),
-		"tenants":    len(s.serve.Tenants()),
-		"components": comps,
+		"status":   "ok",
+		"resident": s.serve.Resident(),
+		"tenants":  len(s.serve.Tenants()),
 	}
 	if s.node != nil {
 		doc["node"] = s.node.ID()
 		doc["members"] = s.node.Members()
 	}
-	writeJSON(w, code, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {

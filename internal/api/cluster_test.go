@@ -231,6 +231,11 @@ scan:
 	if code != http.StatusOK || !strings.Contains(string(page1), `tenant="`+tenant+`"`) {
 		t.Fatalf("n1 /metrics lacks the tenant's labeled series: %d", code)
 	}
+	code, health, body := e0.getHealth()
+	if code != http.StatusOK || health.Status != "ok" || health.Node != n0.id ||
+		strings.Join(health.Members, ",") != n0.id+","+n1.id {
+		t.Fatalf("n0 /healthz: %d %s", code, body)
+	}
 
 	// Step 6: a tenant owned by the dialled node is served locally —
 	// no redirect on the fast path.

@@ -59,21 +59,18 @@ const (
 	MRemoteSlowEvents = "remote.events.slowdrop"
 	MRemoteVersionBad = "remote.version.mismatch"
 
-	// Supervision and recovery metrics (the self-healing layer: panic
-	// isolation, the dead-letter queue and the watchdog supervisor).
+	// Recovery metrics (the self-healing layer: panic isolation and the
+	// dead-letter queue).
 	MEventsRejected     = "pump.events.rejected"
 	MEventsDeadLettered = "pump.events.deadlettered"
 	MDLQDepth           = "dlq.depth"
 	MDLQRedelivered     = "dlq.redelivered"
 	MDLQRequeued        = "dlq.requeued"
+	MDLQLost            = "dlq.lost"
 	MPanicsRecovered    = "panic.recovered"
 
 	MBrokerReentrantDropped     = "broker.events.reentrant.dropped"
 	MControllerReentrantDropped = "controller.events.reentrant.dropped"
-
-	MSupervisorDegraded    = "supervisor.degraded"
-	MSupervisorQuarantined = "supervisor.quarantined"
-	MSupervisorRestarts    = "supervisor.restarts"
 
 	// Conformance-validation metrics (the metamodel compile fast path and
 	// the content-hash validation cache).
@@ -127,13 +124,6 @@ const (
 	MAPIWatchLagged    = "api.watch.lagged"
 	HAPIRequest        = "api.request.latency"
 )
-
-// SupervisorState derives the per-component health gauge name for the
-// watchdog supervisor (e.g. "supervisor.state.pump"): 0 healthy, 1
-// degraded, 2 quarantined.
-func SupervisorState(component string) string {
-	return "supervisor.state." + component
-}
 
 // ShardMetric derives the per-shard instrument name for one shard of the
 // sharded event pump (e.g. "pump.queue.depth.shard.3"). The aggregate

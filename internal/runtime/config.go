@@ -47,10 +47,6 @@ type Config struct {
 	// value). DLQDisabled (-1) disables dead-lettering entirely.
 	DLQCapacity int
 
-	// Supervisor tunes the watchdog supervisor's health thresholds and
-	// restart backoff; the zero config's defaults apply otherwise.
-	Supervisor SupervisorConfig
-
 	// DeltaValidation switches the Synthesis layer to incremental delta
 	// validation: a submission re-checks only the objects it touches (and
 	// the objects referring to them) instead of re-validating the whole

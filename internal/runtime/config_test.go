@@ -48,7 +48,6 @@ func TestConfigDefaults(t *testing.T) {
 		ShardKey:        "room",
 		DrainTimeout:    250 * time.Millisecond,
 		DLQCapacity:     9,
-		Supervisor:      SupervisorConfig{DegradeAfter: 7},
 		DeltaValidation: true,
 	}
 	for _, cfg := range []Config{{}, set} {

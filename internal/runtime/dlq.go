@@ -87,9 +87,11 @@ func (p *Platform) DeadLetters() []DeadLetter {
 // Redeliver replays every currently dead-lettered event synchronously into
 // the Broker layer, in arrival order. Successes count in "dlq.redelivered";
 // an event that fails again re-enters the queue with its attempt count
-// bumped ("dlq.requeued"). If the queue filled up behind its back the event
-// becomes a terminal counted loss, like any delivery failure with no DLQ
-// room. Redeliver returns the number of events delivered and requeued.
+// bumped ("dlq.requeued"). If the pump refilled the queue while the replay
+// ran, the event is lost and counts in "dlq.lost". None of these touch the
+// pump's ledger: a replayed event stays counted as dead-lettered, the
+// classification its first failure gave it. Redeliver returns the number
+// of events delivered and requeued.
 func (p *Platform) Redeliver() (redelivered, requeued int) {
 	entries := p.dlq.drain()
 	p.gDLQDepth.Set(int64(p.dlq.size()))
@@ -107,7 +109,9 @@ func (p *Platform) Redeliver() (redelivered, requeued int) {
 			requeued++
 			p.mRequeued.Inc()
 		} else {
-			p.mDeliverFail.Inc()
+			// Registered on first use: a replay is lost only when the
+			// pump refills the queue while it runs.
+			p.metrics.Counter(obs.MDLQLost).Inc()
 		}
 	}
 	p.gDLQDepth.Set(int64(p.dlq.size()))

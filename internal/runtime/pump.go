@@ -30,14 +30,13 @@ import (
 	"time"
 
 	"github.com/mddsm/mddsm/internal/broker"
-	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/obs"
 )
 
 // pump is one running generation of the platform's sharded event pump.
-// The first PostEvent on a started platform creates it, Stop (or a
-// supervisor restart) drains and discards it, and the next post creates a
-// fresh one, so a drain can never race a new generation's intake.
+// The first PostEvent on a started platform creates it, Stop drains and
+// discards it, and the first post after the next Start creates a fresh
+// one, so a drain can never race a new generation's intake.
 type pump struct {
 	p       *Platform
 	keyAttr string
@@ -249,8 +248,7 @@ func (pu *pump) dispatch(g uint64, sh *shard, ev broker.Event) {
 // dead-lettered event when the DLQ takes it, as a terminal
 // deliver-failure otherwise. The pump degrades rather than dies: an
 // asynchronous event has no caller to report to, so the loss is
-// accounted, the supervisor notified, and the next event delivered
-// normally.
+// accounted and the next event delivered normally.
 func (pu *pump) deliver(g uint64, sh *shard, ev broker.Event) {
 	p := pu.p
 	sh.gDepth.Set(int64(len(sh.ch)))
@@ -264,16 +262,10 @@ func (pu *pump) deliver(g uint64, sh *shard, ev broker.Event) {
 	sp.End()
 	if err != nil {
 		p.deadLetter(ev, err)
-		if fault.IsPanic(err) {
-			p.sup.ReportPanic("pump")
-		} else {
-			p.sup.ReportFailure("pump")
-		}
 		return
 	}
 	sh.mDelivered.Inc()
 	p.mDelivered.Inc()
-	p.sup.ReportSuccess("pump")
 	ev.Release()
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/mddsm/mddsm/internal/broker"
-	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/obs"
 )
 
@@ -147,46 +146,4 @@ func TestStartStopStartThenPost(t *testing.T) {
 	})
 	p.Stop()
 	assertPumpAccounting(t, m, 1, 0)
-}
-
-// TestSupervisorPumpRestartBeforeFirstEvent: a quarantine of the pump
-// before any event restarts nothing — there is no generation to drain —
-// and later events are accounted exactly.
-func TestSupervisorPumpRestartBeforeFirstEvent(t *testing.T) {
-	const K = 20
-	p, r, m := buildEcho(t, Config{
-		PumpShards: 2,
-		Supervisor: SupervisorConfig{
-			DegradeAfter:    1,
-			QuarantineAfter: 2,
-			PanicWeight:     1,
-			Backoff:         fault.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2},
-		},
-	})
-	p.Start()
-	defer p.Stop()
-	p.Supervisor().ReportPanic("pump")
-	p.Supervisor().ReportPanic("pump")
-	waitFor(t, "pump restart", func() bool {
-		return m.CounterValue(obs.MSupervisorRestarts) == 1
-	})
-	if got := p.Supervisor().Health("pump"); got != Healthy {
-		t.Errorf("pump health after restart = %v, want healthy", got)
-	}
-	if hasPump(p) {
-		t.Fatal("a restart before the first event created a pump")
-	}
-	for i := 0; i < K; i++ {
-		if !p.PostEvent(tickEvent("k", i)) {
-			t.Fatalf("post %d rejected", i)
-		}
-	}
-	waitFor(t, "all deliveries", func() bool {
-		return m.CounterValue(obs.MEventsDelivered) == K
-	})
-	if got := len(r.lines()); got != K {
-		t.Errorf("adapter saw %d events, want %d", got, K)
-	}
-	p.Stop()
-	assertPumpAccounting(t, m, K, 0)
 }

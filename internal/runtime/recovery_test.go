@@ -99,12 +99,8 @@ func TestCrashRecoveryChaos(t *testing.T) {
 			r := &poisonRec{}
 			r.armed.Store(true)
 			// Single shard: deliveries happen in post order, so the fault
-			// budgets land deterministically. High supervisor thresholds:
-			// quarantine/restart behaviour has its own test.
-			p, err := Build(fullModel(t), chaosDeps(t, r, m, in), Config{
-				PumpShards: 1,
-				Supervisor: SupervisorConfig{DegradeAfter: 500, QuarantineAfter: 1000},
-			})
+			// budgets land deterministically.
+			p, err := Build(fullModel(t), chaosDeps(t, r, m, in), Config{PumpShards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,58 +216,63 @@ func scriptOf(op, target string) *script.Script {
 	return s
 }
 
-// TestSupervisorRestartsQuarantinedPump: a pump whose deliveries keep
-// panicking is quarantined by the watchdog and automatically restarted;
-// once the poison clears, the restarted pump delivers again — all of it
-// visible in the supervisor counters.
-func TestSupervisorRestartsQuarantinedPump(t *testing.T) {
+// TestPumpKeepsGenerationThroughPanics: panicking deliveries cost only
+// their own events. Past two panics, and through 100 ms of posts into a
+// still-poisoned adapter, the pump keeps its generation and refuses no
+// post; once the adapter heals it delivers, and every accepted event is
+// accounted exactly once.
+func TestPumpKeepsGenerationThroughPanics(t *testing.T) {
 	m := obs.NewMetrics()
 	r := &poisonRec{}
 	r.armed.Store(true)
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, Config{
-		PumpShards: 1,
-		Supervisor: SupervisorConfig{
-			DegradeAfter:    1,
-			QuarantineAfter: 2,
-			PanicWeight:     1,
-			Backoff:         fault.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2},
-		},
-	})
+	}, Config{PumpShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	defer p.Stop()
 
-	// Two poisoned deliveries panic: the first degrades the pump, the
-	// second quarantines it, and the watchdog bounces it onto a fresh
-	// generation.
-	for i := 0; i < 2; i++ {
-		if !p.PostEvent(tickEvent("poison", i)) {
-			t.Fatalf("post %d rejected", i)
+	posted, refused := 0, 0
+	post := func() {
+		if p.PostEvent(tickEvent("poison", posted)) {
+			posted++
+		} else {
+			refused++
 		}
 	}
-	waitFor(t, "quarantine + restart", func() bool {
-		return m.CounterValue(obs.MSupervisorQuarantined) >= 1 &&
-			m.CounterValue(obs.MSupervisorRestarts) >= 1
+	post()
+	p.pumpMu.Lock()
+	gen := p.pump
+	p.pumpMu.Unlock()
+	post()
+	waitFor(t, "2 panicking deliveries", func() bool { return m.CounterValue(obs.MEventsDeadLettered) == 2 })
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+		post()
+		time.Sleep(time.Millisecond)
+	}
+	waitFor(t, "every poisoned event dead-lettered", func() bool {
+		return m.CounterValue(obs.MEventsDeadLettered) == int64(posted)
 	})
 
-	// Heal the adapter; the restarted pump must deliver. Posts racing the
-	// restart window are rejected (counted), so keep posting until one
-	// lands.
 	r.armed.Store(false)
-	waitFor(t, "delivery after restart", func() bool {
-		p.PostEvent(tickEvent("k", 1))
-		return strings.Contains(recText(&r.rec), "h k:000001")
-	})
-	if got := p.Supervisor().Health("pump"); got != Healthy {
-		t.Errorf("pump health after restart = %v, want healthy", got)
+	post()
+	waitFor(t, "delivery after heal", func() bool { return m.CounterValue(obs.MEventsDelivered) == 1 })
+	p.pumpMu.Lock()
+	same := p.pump == gen
+	p.pumpMu.Unlock()
+	if !same {
+		t.Error("the pump was replaced by a new generation")
 	}
-	if got := m.CounterValue(obs.MSupervisorDegraded); got < 1 {
-		t.Errorf("supervisor.degraded = %d, want >= 1", got)
+	if refused != 0 {
+		t.Errorf("%d of %d posts refused", refused, posted+refused)
+	}
+	p.Stop()
+	assertPumpAccounting(t, m, int64(posted), 0)
+	if got := m.CounterValue(obs.MEventsDeadLettered); got != int64(posted-1) {
+		t.Errorf("dead-lettered = %d, want %d", got, posted-1)
 	}
 }
 
@@ -325,6 +326,77 @@ func TestDLQRedeliverRequeue(t *testing.T) {
 	}
 }
 
+// replayGate fails every command. The second command for key "a" — its
+// replay — signals entered and waits for release before failing, so a
+// test can run the pump while Redeliver holds the drained entry.
+type replayGate struct {
+	calls   atomic.Int32
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *replayGate) Execute(cmd script.Command) error {
+	if strings.HasPrefix(cmd.Target, "a:") && g.calls.Add(1) == 2 {
+		close(g.entered)
+		<-g.release
+	}
+	return fmt.Errorf("adapter down: %s", cmd.Target)
+}
+
+// TestRedeliverLossKeepsLedger: a replay that fails again after the pump
+// has refilled the DLQ is lost. Its first failure already counted it
+// dead-lettered, so the loss counts only in dlq.lost and the pump's
+// ledger stays exact.
+func TestRedeliverLossKeepsLedger(t *testing.T) {
+	g := &replayGate{entered: make(chan struct{}), release: make(chan struct{})}
+	m := obs.NewMetrics()
+	p, err := Build(pumpEventModel(t), Deps{
+		Adapters: map[string]broker.Adapter{"main": g},
+		Metrics:  m,
+	}, Config{PumpShards: 1, DLQCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Stop()
+	if !p.PostEvent(tickEvent("a", 0)) {
+		t.Fatal("post a rejected")
+	}
+	waitFor(t, "a dead-lettered", func() bool { return len(p.DeadLetters()) == 1 })
+
+	type counts struct{ redelivered, requeued int }
+	done := make(chan counts, 1)
+	go func() {
+		red, req := p.Redeliver()
+		done <- counts{red, req}
+	}()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replay of a never reached the adapter")
+	}
+	if !p.PostEvent(tickEvent("b", 1)) {
+		t.Fatal("post b rejected")
+	}
+	waitFor(t, "b dead-lettered", func() bool { return m.CounterValue(obs.MEventsDeadLettered) == 2 })
+	close(g.release)
+	if got := <-done; got != (counts{}) {
+		t.Fatalf("Redeliver = %+v, want nothing redelivered or requeued", got)
+	}
+	p.Stop()
+
+	assertPumpAccounting(t, m, 2, 0)
+	if got := m.CounterValue(obs.MDeliverFailures); got != 0 {
+		t.Errorf("deliver failures = %d, want 0", got)
+	}
+	if got := m.CounterValue(obs.MDLQLost); got != 1 {
+		t.Errorf("dlq.lost = %d, want 1", got)
+	}
+	if dls := p.DeadLetters(); len(dls) != 1 || dls[0].Event.Attrs["key"] != "b" {
+		t.Errorf("dead letters = %+v, want only b", dls)
+	}
+}
+
 // TestStartStopPostStart is the regression test for the lifecycle
 // satellite: a post after Stop fails fast as a counted rejection and the
 // platform comes back cleanly on the next Start.
@@ -362,8 +434,7 @@ func TestStartStopPostStart(t *testing.T) {
 
 // TestLifecycleGoroutineLeak cycles Start/Monitor/Checkpoint/Stop/Restore
 // repeatedly and requires the goroutine count to return to baseline —
-// pump shards, monitor loop and supervisor restart loops all accounted
-// for. Run under -race in CI.
+// pump shards and monitor loop all accounted for. Run under -race in CI.
 func TestLifecycleGoroutineLeak(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	r := &rec{}

@@ -128,17 +128,12 @@ type Platform struct {
 	hDeliver      *obs.Histogram
 
 	dlq *dlq
-	sup *Supervisor
 
 	pumpMu  sync.Mutex
 	started bool
 	pump    *pump
 	monStop chan struct{}
 	monDone chan struct{}
-	// monInterval and monProbe are the running monitor's arguments, kept
-	// for the supervisor's restart; monInterval is 0 when no monitor runs.
-	monInterval time.Duration
-	monProbe    func()
 }
 
 // SetExternalEvents installs (or replaces) the external event observer
@@ -201,9 +196,6 @@ func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
 	p.gDLQDepth = p.metrics.Gauge(obs.MDLQDepth)
 	p.hDeliver = p.metrics.Histogram(obs.HPumpDeliver)
 	p.dlq = newDLQ(p.cfg.dlqCapacity())
-	p.sup = newSupervisor(p.cfg.Supervisor, p.metrics)
-	p.sup.register("pump", p.restartPump)
-	p.sup.register("monitor", p.restartMonitor)
 
 	var (
 		uiObj, synthObj, ctlObj, brkObj *metamodel.Object
@@ -604,18 +596,16 @@ func (p *Platform) DeliverEvent(ev broker.Event) error {
 	return p.Broker.OnEvent(ev)
 }
 
-// Start arms the platform and its watchdog supervisor for asynchronous
-// events. The event pump itself starts with the first PostEvent: it routes
-// resource events onto N shards (Config.PumpShards, default GOMAXPROCS),
-// each drained by its own goroutine into the Broker layer, and events
-// sharing a shard key are delivered strictly in post order. A platform
-// that is never posted an event holds no shard queue or goroutine. Start
-// is idempotent.
+// Start arms the platform for asynchronous events. The event pump itself
+// starts with the first PostEvent: it routes resource events onto N
+// shards (Config.PumpShards, default GOMAXPROCS), each drained by its own
+// goroutine into the Broker layer, and events sharing a shard key are
+// delivered strictly in post order. A platform that is never posted an
+// event holds no shard queue or goroutine. Start is idempotent.
 func (p *Platform) Start() {
 	p.pumpMu.Lock()
 	p.started = true
 	p.pumpMu.Unlock()
-	p.sup.start()
 }
 
 // startPumpLocked creates a fresh pump generation; pumpMu must be held.
@@ -651,12 +641,11 @@ func (p *Platform) PostEvent(ev broker.Event) bool {
 	return true
 }
 
-// Stop shuts any autonomic monitor down, disarms the supervisor (waiting
-// out any in-flight restart), then drains the event pump, if the platform
-// was ever posted an event: intake closes (further posts are counted
-// rejections), queued events are delivered until the drain deadline
-// (Config.DrainTimeout), and anything abandoned past it is a counted drop
-// — no accepted event leaves the pump unaccounted.
+// Stop shuts any autonomic monitor down, then drains the event pump, if
+// the platform was ever posted an event: intake closes (further posts are
+// counted rejections), queued events are delivered until the drain
+// deadline (Config.DrainTimeout), and anything abandoned past it is a
+// counted drop — no accepted event leaves the pump unaccounted.
 // Stop is idempotent.
 func (p *Platform) Stop() {
 	p.StopMonitor()
@@ -665,59 +654,20 @@ func (p *Platform) Stop() {
 	pu := p.pump
 	p.pump = nil
 	p.pumpMu.Unlock()
-	// Disarm before draining the old pump: a concurrent supervisor restart
-	// that is draining the same pump finishes before sup.stop returns, so
-	// the drain below then finds it closed and returns at once.
-	p.sup.stop()
 	if pu == nil {
 		return
 	}
 	pu.stop()
 }
 
-// Supervisor exposes the platform's watchdog (health inspection in tests
-// and operator tooling).
-func (p *Platform) Supervisor() *Supervisor { return p.sup }
-
-// restartPump is the supervisor's restart hook for the event pump: it
-// drains the quarantined generation and then detaches it, so the next
-// post starts a fresh one. Posts racing the drain meet the closed
-// generation and are counted rejections. A platform that has not been
-// posted an event yet has no pump to restart.
-func (p *Platform) restartPump() error {
-	p.pumpMu.Lock()
-	old := p.pump
-	p.pumpMu.Unlock()
-	if old == nil {
-		return nil
+// monitorInterval is the monitor's evaluation period: interval, or 1s
+// when Monitor is given none.
+func monitorInterval(interval time.Duration) time.Duration {
+	if interval <= 0 {
+		return time.Second
 	}
-	old.stop()
-	p.pumpMu.Lock()
-	if p.pump == old {
-		p.pump = nil
-	}
-	p.pumpMu.Unlock()
-	return nil
+	return interval
 }
-
-// restartMonitor is the supervisor's restart hook for the autonomic
-// monitor: it bounces the loop with the interval and probe it was started
-// with. A deliberately stopped monitor (no saved interval) stays stopped.
-func (p *Platform) restartMonitor() error {
-	p.pumpMu.Lock()
-	interval, probe := p.monInterval, p.monProbe
-	p.pumpMu.Unlock()
-	if interval == 0 {
-		return nil
-	}
-	p.StopMonitor()
-	p.Monitor(interval, probe)
-	return nil
-}
-
-// defaultMonitorInterval is the monitor's evaluation period when Monitor
-// is given none.
-const defaultMonitorInterval = time.Second
 
 // Monitor launches the platform's autonomic monitor: every interval (1s
 // when interval <= 0) it runs the probe, when one is given, and then
@@ -733,13 +683,10 @@ func (p *Platform) Monitor(interval time.Duration, probe func()) (stop func()) {
 		p.pumpMu.Unlock()
 		return p.StopMonitor
 	}
-	if interval <= 0 {
-		interval = defaultMonitorInterval
-	}
+	interval = monitorInterval(interval)
 	ticks := p.metrics.Counter(obs.MMonitorTicks)
 	probeFail := p.metrics.Counter(obs.MProbeFailures)
 	evalFail := p.metrics.Counter(obs.MEvalFailures)
-	p.monInterval, p.monProbe = interval, probe
 	p.monStop = make(chan struct{})
 	p.monDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
@@ -751,27 +698,13 @@ func (p *Platform) Monitor(interval time.Duration, probe func()) (stop func()) {
 			case <-ticker.C:
 				sp := p.tracer.Start(obs.SpanMonitorTick)
 				ticks.Inc()
-				healthy := true
-				if probe != nil {
-					if ran, panicked := p.runProbe(probe); !ran {
-						probeFail.Inc()
-						healthy = false
-						if panicked {
-							p.sup.ReportPanic("monitor")
-						} else {
-							p.sup.ReportFailure("monitor")
-						}
-					}
+				if probe != nil && !p.runProbe(probe) {
+					probeFail.Inc()
 				}
 				// Asynchronous evaluation failures have no caller; the
 				// next tick retries, so the failure is only counted.
 				if err := p.Broker.Autonomic().Evaluate(); err != nil {
 					evalFail.Inc()
-					healthy = false
-					p.sup.ReportFailure("monitor")
-				}
-				if healthy {
-					p.sup.ReportSuccess("monitor")
 				}
 				sp.End()
 			case <-stop:
@@ -780,38 +713,33 @@ func (p *Platform) Monitor(interval time.Duration, probe func()) (stop func()) {
 		}
 	}(p.monStop, p.monDone)
 	p.pumpMu.Unlock()
-	p.sup.start()
 	return p.StopMonitor
 }
 
 // runProbe executes a monitor probe in degraded mode: an injected
 // monitor.probe fault skips the probe, and a panicking probe is recovered
 // (and counted) so a failing sensor cannot kill the monitor loop. It
-// reports whether the probe ran to completion and whether it panicked.
-func (p *Platform) runProbe(probe func()) (ok, panicked bool) {
+// reports whether the probe ran to completion.
+func (p *Platform) runProbe(probe func()) (ok bool) {
 	if p.injector.Inject(SiteMonitorProbe) != nil {
-		return false, false
+		return false
 	}
 	defer func() {
-		if r := recover(); r != nil {
+		if recover() != nil {
 			p.mPanics.Inc()
-			ok, panicked = false, true
 		}
 	}()
 	probe()
-	return true, false
+	return true
 }
 
 // StopMonitor terminates the autonomic monitor and waits for it to exit.
-// It also forgets the monitor's interval and probe, so the supervisor will not
-// resurrect a deliberately stopped monitor. It is idempotent and safe when
-// no monitor is running.
+// It is idempotent and safe when no monitor is running.
 func (p *Platform) StopMonitor() {
 	p.pumpMu.Lock()
 	stop, done := p.monStop, p.monDone
 	p.monStop = nil
 	p.monDone = nil
-	p.monInterval, p.monProbe = 0, nil
 	p.pumpMu.Unlock()
 	if stop == nil {
 		return

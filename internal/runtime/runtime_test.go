@@ -777,10 +777,7 @@ func TestMonitorOptions(t *testing.T) {
 	}
 	// An interval <= 0 means the 1s default.
 	p.Monitor(0, nil)
-	p.pumpMu.Lock()
-	interval := p.monInterval
-	p.pumpMu.Unlock()
-	if interval != time.Second {
+	if interval := monitorInterval(0); interval != time.Second {
 		t.Errorf("Monitor(0, nil) runs every %v, want 1s", interval)
 	}
 }

@@ -566,26 +566,6 @@ func (s *Server) EachTenantObs(f func(tenant string, o *obs.Obs, resident bool))
 	}
 }
 
-// Health reports each resident tenant's supervised component states as
-// "tenant/component" -> health ("healthy", "degraded", "quarantined").
-// Parked tenants have no live components and are omitted.
-func (s *Server) Health() map[string]string {
-	s.mu.Lock()
-	insts := make(map[string]*domains.Instance, len(s.tenants))
-	for name, t := range s.tenants {
-		insts[name] = t.inst
-	}
-	s.mu.Unlock()
-	out := make(map[string]string, 2*len(insts))
-	for name, inst := range insts {
-		sup := inst.Platform.Supervisor()
-		for _, comp := range []string{"pump", "monitor"} {
-			out[name+"/"+comp] = sup.Health(comp).String()
-		}
-	}
-	return out
-}
-
 // Stat describes one tenant: bundle, residency, and its platform's event
 // accounting. Counters are reported for parked tenants too — the obs
 // bundle is parked with the snapshot, so the numbers cover the tenant's

@@ -355,20 +355,19 @@ func BenchmarkValidateCompiled(b *testing.B) {
 }
 
 // pumpBenchPlatform builds a broker-only platform whose event action routes
-// every "tick" event to ad, with the pump sharded n ways by the "src"
-// attribute.
+// every event to ad, with the pump sharded n ways by event name.
 func pumpBenchPlatform(b *testing.B, ad broker.Adapter, shards int) (*mdruntime.Platform, *obs.Metrics) {
 	b.Helper()
 	mb := mwmeta.NewBuilder("pump-bench", "bench")
 	mb.BrokerLayer("brk").
-		EventAction("handle", "tick", "", false,
+		EventAction("handle", "*", "", false,
 			mwmeta.StepSpec{Op: "handle", Target: "t"}).
 		Bind("*", "main")
 	m := obs.NewMetrics()
 	p, err := mdruntime.Build(mb.Model(), mdruntime.Deps{
 		Adapters: map[string]broker.Adapter{"main": ad},
 		Metrics:  m,
-	}, mdruntime.Config{PumpShards: shards, ShardKey: "src", PumpQueue: 4096})
+	}, mdruntime.Config{PumpShards: shards, PumpQueue: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -380,22 +379,21 @@ func pumpBenchPlatform(b *testing.B, ad broker.Adapter, shards int) (*mdruntime.
 // a fast adapter and on a slow one (100µs per delivery — the regime the
 // sharding exists for: at 1 shard the slow adapter serialises the whole
 // platform, at N shards independent sources deliver concurrently while
-// same-source events stay ordered). The fast adapter measures the
-// post→shard→deliver pipeline itself, so it posts pooled events with
-// pre-boxed source keys, as TestPumpHotPathAllocFree does; its allocs/op
-// read process-wide mallocs, so the shard workers are charged too.
+// same-source events stay ordered). Each event is named after its source
+// and carries no attributes, as in TestPumpHotPathAllocFree, so the fast
+// adapter measures the post→shard→deliver pipeline itself; allocs/op read
+// process-wide mallocs, so the shard workers are charged too.
 func BenchmarkPumpThroughput(b *testing.B) {
 	shardCounts := []int{1, 4}
 	if n := goruntime.GOMAXPROCS(0); n > 4 {
 		shardCounts = append(shardCounts, n)
 	}
 	mixes := []struct {
-		name   string
-		delay  time.Duration
-		pooled bool
+		name  string
+		delay time.Duration
 	}{
-		{"fast-adapter", 0, true},
-		{"slow-adapter-100us", 100 * time.Microsecond, false},
+		{"fast-adapter", 0},
+		{"slow-adapter-100us", 100 * time.Microsecond},
 	}
 	for _, mix := range mixes {
 		for _, shards := range shardCounts {
@@ -410,23 +408,14 @@ func BenchmarkPumpThroughput(b *testing.B) {
 				p.Start()
 				defer p.Stop()
 				srcs := make([]string, 64)
-				boxed := make([]any, len(srcs)) // boxing a key is the poster's one-time cost
 				for i := range srcs {
 					srcs[i] = fmt.Sprintf("src-%d", i)
-					boxed[i] = srcs[i]
 				}
 				delivered := m.Counter(obs.MEventsDelivered)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var ev broker.Event
-					if mix.pooled {
-						ev = broker.AcquireEvent("tick")
-						ev.Attrs["src"] = boxed[i%len(boxed)]
-					} else {
-						ev = broker.Event{Name: "tick",
-							Attrs: map[string]any{"src": srcs[i%len(srcs)]}}
-					}
+					ev := broker.Event{Name: srcs[i%len(srcs)]}
 					for !p.PostEvent(ev) {
 						goruntime.Gosched() // backpressure: shard queue full
 					}

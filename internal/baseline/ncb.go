@@ -13,6 +13,7 @@ package baseline
 import (
 	"fmt"
 
+	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/resources/comm"
 	"github.com/mddsm/mddsm/internal/script"
 	"github.com/mddsm/mddsm/internal/simtime"
@@ -83,8 +84,8 @@ func (n *HandcraftedNCB) Call(cmd script.Command) error {
 // onEvent recovers failed streams by reconfiguring them to the safe audio
 // profile — the same behaviour the model-based NCB declares as an event
 // action.
-func (n *HandcraftedNCB) onEvent(e comm.Event) {
-	if e.Kind != "streamFailed" {
+func (n *HandcraftedNCB) onEvent(e broker.Event) {
+	if e.Name != "streamFailed" {
 		return
 	}
 	// Recovery failures have no caller; the stream simply stays down.

@@ -33,15 +33,61 @@ const (
 )
 
 // Event is a notification flowing through the layer: resource events enter
-// from below, and the layer forwards events upward to the Controller.
-// Events built by AcquireEvent/PooledEvent carry a pooled attribute map
-// that Release recycles after delivery (see pool.go for the ownership
-// rules); the zero value of pooled keeps plain literals behaving exactly
-// as before.
+// from below, and the layer forwards events upward to the Controller. An
+// event's name selects its event actions; domain-specific identifiers
+// travel in Attrs under their established keys ("object", "device",
+// "session", "stream", "participant", ...), which is exactly the shape the
+// layer binds into event-action scopes. An accepted event's attribute map
+// belongs to its poster and is never recycled, so a layer that defers an
+// event may keep it.
 type Event struct {
-	Name   string
-	Attrs  map[string]any
-	pooled bool
+	Name  string
+	Attrs map[string]any
+}
+
+// NewEvent builds an event from alternating key/value pairs. Pairs with
+// empty string values are omitted, so emit sites can pass optional fields
+// unconditionally. It panics on an odd-length list (a programming bug in
+// static resource code).
+func NewEvent(name string, kv ...any) Event {
+	if len(kv)%2 != 0 {
+		panic("broker.NewEvent: odd key/value list")
+	}
+	e := Event{Name: name}
+	for i := 0; i < len(kv); i += 2 {
+		key, ok := kv[i].(string)
+		if !ok {
+			panic("broker.NewEvent: non-string key")
+		}
+		if s, isStr := kv[i+1].(string); isStr && s == "" {
+			continue
+		}
+		if e.Attrs == nil {
+			e.Attrs = make(map[string]any, len(kv)/2)
+		}
+		e.Attrs[key] = kv[i+1]
+	}
+	return e
+}
+
+// Str returns the named attribute as a string ("" when absent or not a
+// string).
+func (e Event) Str(key string) string {
+	s, _ := e.Attrs[key].(string)
+	return s
+}
+
+// Copy returns a deep copy of the event, for consumers (a checkpoint, a
+// test capturing events) that must not share the poster's map.
+func (e Event) Copy() Event {
+	if e.Attrs == nil {
+		return Event{Name: e.Name}
+	}
+	attrs := make(map[string]any, len(e.Attrs))
+	for k, v := range e.Attrs {
+		attrs[k] = v
+	}
+	return Event{Name: e.Name, Attrs: attrs}
 }
 
 // Adapter executes resource commands; the Resource Manager routes broker

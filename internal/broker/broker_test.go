@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -426,4 +427,62 @@ func ExampleBroker_Call() {
 	}, rm, nil)
 	_ = b.Call(script.NewCommand("openStream", "stream:s1").WithArg("media", "audio"))
 	// Output: svcOpen stream:s1 media="audio"
+}
+
+func TestNewEvent(t *testing.T) {
+	cases := []struct {
+		name string
+		e    Event
+		want Event
+	}{
+		{
+			name: "basic",
+			e:    NewEvent("objectEntered", "object", "lamp1"),
+			want: Event{Name: "objectEntered", Attrs: map[string]any{"object": "lamp1"}},
+		},
+		{
+			name: "empty string values omitted",
+			e:    NewEvent("streamFailed", "session", "s1", "stream", "", "participant", ""),
+			want: Event{Name: "streamFailed", Attrs: map[string]any{"session": "s1"}},
+		},
+		{
+			name: "no attrs leaves nil map",
+			e:    NewEvent("tick"),
+			want: Event{Name: "tick"},
+		},
+		{
+			name: "non-string values kept",
+			e:    NewEvent("propertyChanged", "object", "o1", "value", 42),
+			want: Event{Name: "propertyChanged", Attrs: map[string]any{"object": "o1", "value": 42}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if !reflect.DeepEqual(c.e, c.want) {
+				t.Errorf("got %+v, want %+v", c.e, c.want)
+			}
+		})
+	}
+}
+
+func TestEventAccessors(t *testing.T) {
+	e := NewEvent("propertyChanged", "object", "o1", "value", 42)
+	if e.Str("object") != "o1" {
+		t.Errorf("Str(object) = %q", e.Str("object"))
+	}
+	if e.Str("value") != "" { // not a string
+		t.Errorf("Str(value) = %q, want empty", e.Str("value"))
+	}
+	if e.Str("missing") != "" {
+		t.Errorf("Str(missing) = %q, want empty", e.Str("missing"))
+	}
+}
+
+func TestNewEventPanicsOnOddList(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on odd kv list")
+		}
+	}()
+	NewEvent("x", "keyOnly")
 }

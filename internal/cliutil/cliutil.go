@@ -42,7 +42,7 @@ func Register(fs *flag.FlagSet) *Common {
 
 // RegisterPump additionally installs -pump-shards.
 func (c *Common) RegisterPump(fs *flag.FlagSet) *Common {
-	fs.IntVar(&c.PumpShards, "pump-shards", 0, "event-pump shards (0 = GOMAXPROCS); same-source events stay ordered per shard key")
+	fs.IntVar(&c.PumpShards, "pump-shards", 0, "event-pump shards (0 = GOMAXPROCS); events with the same name stay in post order")
 	c.pumpRegistered = true
 	return c
 }

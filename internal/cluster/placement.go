@@ -1,7 +1,7 @@
 package cluster
 
 // Placement: which member owns a tenant. The default assignment is the
-// same FNV-1a hash the runtime's event pump uses for shard keys, taken
+// same FNV-1a hash the runtime's event pump shards event names by, taken
 // modulo the sorted live member list — every node computes the same answer
 // from the same member view with no coordination. Explicit migrations
 // punch through with an override entry (tenant -> member) that is

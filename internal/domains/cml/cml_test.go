@@ -295,9 +295,9 @@ func TestMiddlewareModelJSONRoundTripRebuildsWorkingPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm := &CVM{Clock: simtime.NewVirtual()}
-	vm.Service = comm.NewService(vm.Clock, func(e comm.Event) {
+	vm.Service = comm.NewService(vm.Clock, func(e broker.Event) {
 		if vm.Platform != nil {
-			_ = vm.Platform.DeliverEvent(e.Broker())
+			_ = vm.Platform.DeliverEvent(e)
 		}
 	})
 	def, err := core.Check(core.Definition{

@@ -97,9 +97,9 @@ func New(cfg domains.Config) (*CVM, error) {
 func assemble(cfg domains.Config) (*CVM, core.Bindings) {
 	clock := simtime.NewVirtual()
 	vm := &CVM{Clock: clock}
-	vm.Service = comm.NewService(clock, func(e comm.Event) {
+	vm.Service = comm.NewService(clock, func(e broker.Event) {
 		if vm.Platform != nil {
-			_ = vm.Platform.DeliverEvent(e.Broker())
+			_ = vm.Platform.DeliverEvent(e)
 		}
 	})
 	return vm, core.Bindings{
@@ -143,9 +143,9 @@ type StandaloneNCB struct {
 func NewStandaloneNCB() (*StandaloneNCB, error) {
 	clock := simtime.NewVirtual()
 	n := &StandaloneNCB{Clock: clock}
-	n.Service = comm.NewService(clock, func(e comm.Event) {
+	n.Service = comm.NewService(clock, func(e broker.Event) {
 		if n.Platform != nil {
-			_ = n.Platform.DeliverEvent(e.Broker())
+			_ = n.Platform.DeliverEvent(e)
 		}
 	})
 	p, err := runtime.Build(NCBModel(), runtime.Deps{

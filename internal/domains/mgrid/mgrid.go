@@ -294,9 +294,9 @@ func New(cfg domains.Config) (*MGridVM, error) {
 func assemble(cfg domains.Config) (*MGridVM, core.Bindings) {
 	clock := simtime.NewVirtual()
 	vm := &MGridVM{Clock: clock}
-	vm.Plant = microgrid.NewPlant(clock, func(e microgrid.Event) {
+	vm.Plant = microgrid.NewPlant(clock, func(e broker.Event) {
 		if vm.Platform != nil {
-			_ = vm.Platform.DeliverEvent(e.Broker())
+			_ = vm.Platform.DeliverEvent(e)
 		}
 	})
 	return vm, core.Bindings{

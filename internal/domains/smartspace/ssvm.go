@@ -155,11 +155,11 @@ func (h *Hub) ObjectLeaves(id string) error { return h.space.Leave(id) }
 // onSpaceEvent routes an asynchronous space event: armed rules fire
 // configuration scripts on target object nodes, then the event escalates
 // to the central platform.
-func (h *Hub) onSpaceEvent(e spaceres.Event) {
+func (h *Hub) onSpaceEvent(e broker.Event) {
 	h.mu.Lock()
 	matched := make([]rule, 0, 2)
 	for _, r := range h.rules {
-		if r.onEvent == e.Kind && (r.subject == "*" || r.subject == e.Str("object")) {
+		if r.onEvent == e.Name && (r.subject == "*" || r.subject == e.Str("object")) {
 			matched = append(matched, r)
 		}
 	}
@@ -174,7 +174,7 @@ func (h *Hub) onSpaceEvent(e spaceres.Event) {
 		}
 	}
 	if h.central != nil {
-		h.central(broker.Event{Name: e.Kind, Attrs: map[string]any{
+		h.central(broker.Event{Name: e.Name, Attrs: map[string]any{
 			"object": e.Str("object"), "prop": e.Str("prop"),
 		}})
 	}

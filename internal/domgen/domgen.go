@@ -516,14 +516,10 @@ func Register(spec Spec) (*Domain, error) {
 }
 
 // Event builds one deterministic resource event for the domain: name drawn
-// from the event vocabulary by index, a shard key spreading tenants'
-// streams across pump shards, and a sequence attribute.
+// from the event vocabulary by index, and a sequence attribute.
 func (d *Domain) Event(i int) broker.Event {
 	return broker.Event{
-		Name: d.eventNames[i%len(d.eventNames)],
-		Attrs: map[string]any{
-			"key": fmt.Sprintf("k%d", i%8),
-			"seq": i,
-		},
+		Name:  d.eventNames[i%len(d.eventNames)],
+		Attrs: map[string]any{"seq": i},
 	}
 }

@@ -391,10 +391,7 @@ func (mt *mixedTenant) nextEvent() broker.Event {
 	if mt.dom != nil {
 		return mt.dom.Event(i)
 	}
-	return broker.Event{Name: mt.event, Attrs: map[string]any{
-		"key": fmt.Sprintf("k%d", i%8),
-		"seq": i,
-	}}
+	return broker.Event{Name: mt.event, Attrs: map[string]any{"seq": i}}
 }
 
 // ReportMixed runs the canonical mixed workload and prints the per-bundle

@@ -130,8 +130,7 @@ func canonical(k Kind, v any) bool {
 
 // Compile flattens mm into its compiled form. Only well-formed metamodels
 // compile; an mm whose own Validate fails is rejected, and Model.Validate
-// then falls back to the interpreted walk (which tolerates broken
-// metamodels the same way it always has).
+// and Model.Conform then fail with the same error.
 func Compile(mm *Metamodel) (*CompiledMetamodel, error) {
 	if err := mm.Validate(); err != nil {
 		return nil, fmt.Errorf("compile metamodel %s: %w", mm.Name, err)
@@ -427,7 +426,6 @@ var (
 	statCompileNanos atomic.Int64
 	statFast         atomic.Int64
 	statInterpreted  atomic.Int64
-	statFallback     atomic.Int64
 
 	boundVal atomic.Pointer[valInstruments]
 )
@@ -438,7 +436,6 @@ type valInstruments struct {
 	compileLatency *obs.Histogram
 	fast           *obs.Counter
 	interpreted    *obs.Counter
-	fallback       *obs.Counter
 }
 
 // BindMetrics mirrors the package's validation-dispatch and compile
@@ -455,16 +452,14 @@ func BindMetrics(reg *obs.Metrics) {
 		compileLatency: reg.Histogram(obs.HMetamodelCompile),
 		fast:           reg.Counter(obs.MValidateFast),
 		interpreted:    reg.Counter(obs.MValidateInterpreted),
-		fallback:       reg.Counter(obs.MValidateFallback),
 	})
 }
 
 // ValidationStats reports process-wide validation dispatch counts: compiled
 // fast-path validations, interpreted validations (direct ValidateInterpreted
-// calls), fallbacks (Validate against an uncompilable metamodel), metamodel
-// compiles, and total time spent compiling.
-func ValidationStats() (fast, interpreted, fallback, compiles int64, compileTime time.Duration) {
-	return statFast.Load(), statInterpreted.Load(), statFallback.Load(),
+// calls), metamodel compiles, and total time spent compiling.
+func ValidationStats() (fast, interpreted, compiles int64, compileTime time.Duration) {
+	return statFast.Load(), statInterpreted.Load(),
 		statCompiles.Load(), time.Duration(statCompileNanos.Load())
 }
 
@@ -479,12 +474,5 @@ func noteInterpreted() {
 	statInterpreted.Add(1)
 	if b := boundVal.Load(); b != nil {
 		b.interpreted.Inc()
-	}
-}
-
-func noteFallback() {
-	statFallback.Add(1)
-	if b := boundVal.Load(); b != nil {
-		b.fallback.Inc()
 	}
 }

@@ -81,29 +81,37 @@ func TestCompileLayout(t *testing.T) {
 }
 
 func TestCompileRejectsMalformedMetamodel(t *testing.T) {
-	mm := New("broken")
-	mm.MustAddClass(&Class{Name: "A", Super: "B"})
-	mm.MustAddClass(&Class{Name: "B", Super: "A"})
-	if _, err := Compile(mm); err == nil {
-		t.Fatal("Compile accepted a metamodel with an inheritance cycle")
+	cyclic := New("cyclic")
+	cyclic.MustAddClass(&Class{Name: "A", Super: "B"})
+	cyclic.MustAddClass(&Class{Name: "B", Super: "A"})
+	dangling := New("dangling")
+	dangling.MustAddClass(&Class{Name: "A", References: []Reference{{Name: "r", Target: "Nope"}}})
+	fast0, _, _, _ := ValidationStats()
+	for _, mm := range []*Metamodel{cyclic, dangling} {
+		_, cerr := Compile(mm)
+		if cerr == nil {
+			t.Fatalf("%s: Compile accepted a malformed metamodel", mm.Name)
+		}
+		// No model conforms to a metamodel that does not compile: Validate
+		// and Conform both fail with the metamodel's own error.
+		m := NewModel(mm.Name)
+		m.NewObject("x", "A")
+		if err := m.Clone().Validate(mm); err == nil || err.Error() != cerr.Error() {
+			t.Errorf("%s: Validate = %v, want %v", mm.Name, err, cerr)
+		}
+		if got, err := m.Conform(mm); got != nil || err == nil || err.Error() != cerr.Error() {
+			t.Errorf("%s: Conform = %v, %v, want nil, %v", mm.Name, got, err, cerr)
+		}
 	}
-	// The dispatching Validate must fall back to the interpreted walk and
-	// agree with it; a compilable metamodel takes the compiled path.
-	m := NewModel("broken")
-	m.NewObject("x", "A")
+	// A compilable metamodel takes the compiled path; the failed calls
+	// above walked nothing.
 	good, ok := compileMM(t), NewModel("compile-mm")
 	ok.NewObject("i", "Item").SetAttr("name", "x")
-	fast0, _, fallback0, _, _ := ValidationStats()
-	errFast := m.Clone().Validate(mm)
-	errRef := m.Clone().ValidateInterpreted(mm)
-	if (errFast == nil) != (errRef == nil) {
-		t.Fatalf("fallback disagreed with reference: %v vs %v", errFast, errRef)
-	}
 	if err := ok.Validate(good); err != nil {
 		t.Fatal(err)
 	}
-	if fast, _, fallback, _, _ := ValidationStats(); fast != fast0+1 || fallback != fallback0+1 {
-		t.Errorf("dispatch: %d compiled, %d fallback validations, want 1 each", fast-fast0, fallback-fallback0)
+	if fast, _, _, _ := ValidationStats(); fast != fast0+1 {
+		t.Errorf("dispatch: %d compiled validations, want 1", fast-fast0)
 	}
 }
 

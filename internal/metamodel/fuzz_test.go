@@ -84,19 +84,10 @@ func FuzzCompiledValidate(f *testing.F) {
 		cm, cerr := Compile(mm)
 		if cerr != nil {
 			// Uncompilable metamodel: the interpreted walk must still not
-			// panic, and the dispatcher must fall back to it.
-			ref := m.Clone()
-			errRef := ref.ValidateInterpreted(mm)
-			disp := m.Clone()
-			errDisp := disp.Validate(mm)
-			if (errRef == nil) != (errDisp == nil) {
-				t.Fatalf("fallback verdict diverges: %v vs %v", errRef, errDisp)
-			}
-			if !equalStringSets(problemSet(t, errRef), problemSet(t, errDisp)) {
-				t.Fatalf("fallback problems diverge: %v vs %v", errRef, errDisp)
-			}
-			if !Equal(ref, disp) {
-				t.Fatalf("fallback mutations diverge; diff: %s", Diff(ref, disp))
+			// panic, and Validate must fail with the compile error.
+			_ = m.Clone().ValidateInterpreted(mm)
+			if err := m.Clone().Validate(mm); err == nil || err.Error() != cerr.Error() {
+				t.Fatalf("Validate against an uncompilable metamodel = %v, want %v", err, cerr)
 			}
 			return
 		}

@@ -310,15 +310,15 @@ func (m *Model) ResolveOne(o *Object, ref string) *Object {
 //
 // It dispatches through mm's compiled form (see Compile), which is
 // semantically identical to the interpreted reference walk but skips the
-// per-object inheritance-chain resolution. Only when the metamodel itself
-// does not compile (it is malformed) does the interpreted walk run instead.
+// per-object inheritance-chain resolution. A metamodel that does not
+// compile (it is malformed) fails validation with its compile error.
 func (m *Model) Validate(mm *Metamodel) error {
-	if cm, err := mm.Compiled(); err == nil {
-		noteFast()
-		return cm.Validate(m)
+	cm, err := mm.Compiled()
+	if err != nil {
+		return err
 	}
-	noteFallback()
-	return m.validateInterpreted(mm)
+	noteFast()
+	return cm.Validate(m)
 }
 
 // Conform checks the model's conformance to mm like Validate, with the
@@ -326,19 +326,15 @@ func (m *Model) Validate(mm *Metamodel) error {
 // when it is already in validated form (Validate would change nothing),
 // and otherwise a normalised copy. Holders of a shared, immutable model —
 // a committed model, a parked snapshot's — check it this way without
-// copying it. Against a metamodel that does not compile it falls back to
-// the interpreted walk over a copy, so it always copies.
+// copying it. Against a metamodel that does not compile it fails with the
+// compile error, as Validate does.
 func (m *Model) Conform(mm *Metamodel) (*Model, error) {
-	if cm, err := mm.Compiled(); err == nil {
-		noteFast()
-		return cm.Conform(m)
-	}
-	noteFallback()
-	c := m.Clone()
-	if err := c.validateInterpreted(mm); err != nil {
+	cm, err := mm.Compiled()
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	noteFast()
+	return cm.Conform(m)
 }
 
 // ValidateInterpreted runs the interpreted reference validator. The
@@ -347,10 +343,6 @@ func (m *Model) Conform(mm *Metamodel) (*Model, error) {
 // ground truth.
 func (m *Model) ValidateInterpreted(mm *Metamodel) error {
 	noteInterpreted()
-	return m.validateInterpreted(mm)
-}
-
-func (m *Model) validateInterpreted(mm *Metamodel) error {
 	var errs errorList
 	container := make(map[string]string) // contained ID -> container ID
 	for _, id := range m.order {

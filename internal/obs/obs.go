@@ -76,7 +76,6 @@ const (
 	// the content-hash validation cache).
 	MValidateFast         = "validate.fast"
 	MValidateInterpreted  = "validate.interpreted"
-	MValidateFallback     = "validate.fallback"
 	MValidateDelta        = "validate.delta"
 	MValidateCacheHits    = "validate.cache.hits"
 	MValidateCacheMisses  = "validate.cache.misses"

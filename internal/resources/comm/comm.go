@@ -16,7 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mddsm/mddsm/internal/resources"
+	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/script"
 	"github.com/mddsm/mddsm/internal/simtime"
 )
@@ -39,12 +39,6 @@ func ValidMedia(m MediaType) bool {
 	}
 	return false
 }
-
-// Event is an asynchronous service notification — the shared resource
-// event type. Kinds: "participantJoined", "participantLeft",
-// "streamFailed", "sessionClosed"; payload keys: "session", "stream",
-// "participant".
-type Event = resources.Event
 
 // Stream is one media stream inside a session.
 type Stream struct {
@@ -111,15 +105,17 @@ type Service struct {
 	trace     *script.Trace
 	latencies Latencies
 	sessions  map[string]*Session
-	sink      func(Event)
+	sink      func(broker.Event)
 	failNext  map[string]bool // op -> fail once
 	cpuWork   int             // synthetic CPU iterations per operation
 	workSink  uint64          // defeats dead-code elimination of the work loop
 }
 
-// NewService creates a service on the given clock. sink receives
-// asynchronous events and may be nil.
-func NewService(clock simtime.Clock, sink func(Event)) *Service {
+// NewService creates a service on the given clock. sink receives the
+// service's asynchronous events and may be nil. Event names:
+// "participantJoined", "participantLeft", "streamFailed", "sessionClosed";
+// attribute keys: "session", "stream", "participant".
+func NewService(clock simtime.Clock, sink func(broker.Event)) *Service {
 	if clock == nil {
 		clock = simtime.NewVirtual()
 	}
@@ -183,7 +179,7 @@ func (s *Service) checkFail(op string) error {
 	return nil
 }
 
-func (s *Service) emit(e Event) {
+func (s *Service) emit(e broker.Event) {
 	if s.sink != nil {
 		s.sink(e)
 	}
@@ -228,7 +224,7 @@ func (s *Service) CloseSession(id string) error {
 	s.mu.Unlock()
 	// Events are emitted outside the lock so a synchronous sink may
 	// re-enter the service (e.g. middleware recovery paths).
-	s.emit(resources.NewEvent("sessionClosed", "session", id))
+	s.emit(broker.NewEvent("sessionClosed", "session", id))
 	return nil
 }
 
@@ -251,7 +247,7 @@ func (s *Service) AddParticipant(sessionID, participant string) error {
 	sess.participants[participant] = true
 	s.charge("addParticipant", "session:"+sessionID, "who", participant)
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("participantJoined", "session", sessionID, "participant", participant))
+	s.emit(broker.NewEvent("participantJoined", "session", sessionID, "participant", participant))
 	return nil
 }
 
@@ -274,7 +270,7 @@ func (s *Service) RemoveParticipant(sessionID, participant string) error {
 	delete(sess.participants, participant)
 	s.charge("removeParticipant", "session:"+sessionID, "who", participant)
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("participantLeft", "session", sessionID, "participant", participant))
+	s.emit(broker.NewEvent("participantLeft", "session", sessionID, "participant", participant))
 	return nil
 }
 
@@ -390,7 +386,7 @@ func (s *Service) InjectStreamFailure(sessionID, streamID string) error {
 	}
 	st.Up = false
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("streamFailed", "session", sessionID, "stream", streamID))
+	s.emit(broker.NewEvent("streamFailed", "session", sessionID, "stream", streamID))
 	return nil
 }
 

@@ -5,14 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/simtime"
 )
 
 func TestSessionLifecycle(t *testing.T) {
-	var events []Event
+	var events []broker.Event
 	clock := simtime.NewVirtual()
 	start := clock.Now()
-	s := NewService(clock, func(e Event) { events = append(events, e) })
+	s := NewService(clock, func(e broker.Event) { events = append(events, e) })
 
 	if err := s.CreateSession("s1"); err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	var kinds []string
 	for _, e := range events {
-		kinds = append(kinds, e.Kind)
+		kinds = append(kinds, e.Name)
 	}
 	want := "participantJoined,participantJoined,participantLeft,sessionClosed"
 	if got := strings.Join(kinds, ","); got != want {
@@ -151,8 +152,8 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestFailureInjectionAndRecovery(t *testing.T) {
-	var events []Event
-	s := NewService(nil, func(e Event) { events = append(events, e) })
+	var events []broker.Event
+	s := NewService(nil, func(e broker.Event) { events = append(events, e) })
 	if err := s.CreateSession("s1"); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 	if err := s.InjectStreamFailure("s1", "st1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].Kind != "streamFailed" {
+	if len(events) != 1 || events[0].Name != "streamFailed" {
 		t.Fatalf("events: %v", events)
 	}
 	if err := s.SendData("s1", "st1", 10); err == nil || !strings.Contains(err.Error(), "down") {

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mddsm/mddsm/internal/resources"
+	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/script"
 	"github.com/mddsm/mddsm/internal/simtime"
 )
@@ -58,25 +58,22 @@ type Telemetry struct {
 	BatteryCharge float64 // summed state of charge kWh
 }
 
-// Event is an asynchronous plant notification — the shared resource event
-// type. Kinds: "deviceOffline", "deviceOnline", "batteryLow", "overload";
-// payload key: "device".
-type Event = resources.Event
-
 // Plant is the simulated microgrid. It is safe for concurrent use.
 type Plant struct {
 	mu      sync.Mutex
 	clock   simtime.Clock
 	trace   *script.Trace
 	devices map[string]*Device
-	sink    func(Event)
+	sink    func(broker.Event)
 	// lowBatteryThreshold (fraction of capacity) below which batteryLow
 	// events are emitted on Tick.
 	lowBatteryThreshold float64
 }
 
-// NewPlant creates a plant on the given clock. sink may be nil.
-func NewPlant(clock simtime.Clock, sink func(Event)) *Plant {
+// NewPlant creates a plant on the given clock. sink receives the plant's
+// asynchronous events and may be nil. Event names: "deviceOffline",
+// "deviceOnline", "batteryLow", "overload"; attribute key: "device".
+func NewPlant(clock simtime.Clock, sink func(broker.Event)) *Plant {
 	if clock == nil {
 		clock = simtime.NewVirtual()
 	}
@@ -92,7 +89,7 @@ func NewPlant(clock simtime.Clock, sink func(Event)) *Plant {
 // Trace returns the recorded command trace.
 func (p *Plant) Trace() *script.Trace { return p.trace }
 
-func (p *Plant) emit(e Event) {
+func (p *Plant) emit(e broker.Event) {
 	if p.sink != nil {
 		p.sink(e)
 	}
@@ -139,7 +136,7 @@ func (p *Plant) SetOnline(id string, online bool) error {
 	}
 	p.mu.Unlock()
 	// Emitted outside the lock so synchronous sinks may re-enter.
-	p.emit(resources.NewEvent(kind, "device", id))
+	p.emit(broker.NewEvent(kind, "device", id))
 	return nil
 }
 
@@ -221,7 +218,7 @@ func (p *Plant) telemetryLocked() Telemetry {
 func (p *Plant) Tick(d time.Duration) {
 	p.mu.Lock()
 	hours := d.Hours()
-	var pending []Event
+	var pending []broker.Event
 	for _, id := range p.deviceIDsLocked() {
 		dev := p.devices[id]
 		if dev.Kind != Battery || !dev.Online {
@@ -239,7 +236,7 @@ func (p *Plant) Tick(d time.Duration) {
 		}
 		isLow := dev.Charge < p.lowBatteryThreshold*dev.Capacity
 		if isLow && !wasLow {
-			pending = append(pending, resources.NewEvent("batteryLow", "device", id))
+			pending = append(pending, broker.NewEvent("batteryLow", "device", id))
 		}
 	}
 	p.clock.Sleep(d)

@@ -4,12 +4,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/mddsm/mddsm/internal/broker"
 )
 
-func plant(t *testing.T) (*Plant, *[]Event) {
+func plant(t *testing.T) (*Plant, *[]broker.Event) {
 	t.Helper()
-	var events []Event
-	p := NewPlant(nil, func(e Event) { events = append(events, e) })
+	var events []broker.Event
+	p := NewPlant(nil, func(e broker.Event) { events = append(events, e) })
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -120,7 +122,7 @@ func TestOfflineZeroesOutput(t *testing.T) {
 	}
 	found := false
 	for _, e := range *events {
-		if e.Kind == "deviceOffline" && e.Str("device") == "solar1" {
+		if e.Name == "deviceOffline" && e.Str("device") == "solar1" {
 			found = true
 		}
 	}
@@ -164,7 +166,7 @@ func TestTickBatteryDrainAndLowEvent(t *testing.T) {
 	p.Tick(30 * time.Minute) // -2 kWh -> 1 kWh (10% < 20%)
 	var low int
 	for _, e := range *events {
-		if e.Kind == "batteryLow" {
+		if e.Name == "batteryLow" {
 			low++
 		}
 	}

@@ -9,14 +9,9 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/mddsm/mddsm/internal/resources"
+	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/script"
 )
-
-// Event is an asynchronous space notification — the shared resource event
-// type. Kinds: "objectEntered", "objectLeft", "propertyChanged"; payload
-// keys: "object", "prop", "value".
-type Event = resources.Event
 
 // SmartObject is one programmable entity in the space.
 type SmartObject struct {
@@ -46,12 +41,14 @@ func (o *SmartObject) PropNames() []string {
 type Space struct {
 	mu      sync.Mutex
 	objects map[string]*SmartObject
-	sink    func(Event)
+	sink    func(broker.Event)
 	trace   *script.Trace
 }
 
-// NewSpace creates an empty space. sink may be nil.
-func NewSpace(sink func(Event)) *Space {
+// NewSpace creates an empty space. sink receives the space's asynchronous
+// events and may be nil. Event names: "objectEntered", "objectLeft",
+// "propertyChanged"; attribute keys: "object", "prop", "value".
+func NewSpace(sink func(broker.Event)) *Space {
 	return &Space{
 		objects: make(map[string]*SmartObject),
 		sink:    sink,
@@ -62,7 +59,7 @@ func NewSpace(sink func(Event)) *Space {
 // Trace returns the recorded command trace.
 func (s *Space) Trace() *script.Trace { return s.trace }
 
-func (s *Space) emit(e Event) {
+func (s *Space) emit(e broker.Event) {
 	if s.sink != nil {
 		s.sink(e)
 	}
@@ -90,7 +87,7 @@ func (s *Space) Enter(id, kind string) error {
 	}
 	s.trace.RecordOp("enter", "object:"+id, "kind", o.Kind)
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("objectEntered", "object", id))
+	s.emit(broker.NewEvent("objectEntered", "object", id))
 	return nil
 }
 
@@ -106,7 +103,7 @@ func (s *Space) Leave(id string) error {
 	o.Present = false
 	s.trace.RecordOp("leave", "object:"+id)
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("objectLeft", "object", id))
+	s.emit(broker.NewEvent("objectLeft", "object", id))
 	return nil
 }
 
@@ -126,7 +123,7 @@ func (s *Space) SetProperty(id, prop string, value any) error {
 	o.props[prop] = value
 	s.trace.RecordOp("setProperty", "object:"+id, "prop", prop, "value", value)
 	s.mu.Unlock()
-	s.emit(resources.NewEvent("propertyChanged", "object", id, "prop", prop, "value", value))
+	s.emit(broker.NewEvent("propertyChanged", "object", id, "prop", prop, "value", value))
 	return nil
 }
 

@@ -3,11 +3,13 @@ package smartspace
 import (
 	"strings"
 	"testing"
+
+	"github.com/mddsm/mddsm/internal/broker"
 )
 
 func TestEnterLeaveLifecycle(t *testing.T) {
-	var events []Event
-	s := NewSpace(func(e Event) { events = append(events, e) })
+	var events []broker.Event
+	s := NewSpace(func(e broker.Event) { events = append(events, e) })
 	if err := s.Enter("lamp1", "lamp"); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func TestEnterLeaveLifecycle(t *testing.T) {
 	}
 	var kinds []string
 	for _, e := range events {
-		kinds = append(kinds, e.Kind)
+		kinds = append(kinds, e.Name)
 	}
 	if got := strings.Join(kinds, ","); got != "objectEntered,objectLeft,objectEntered" {
 		t.Errorf("events: %s", got)
@@ -41,8 +43,8 @@ func TestEnterUnknownWithoutKind(t *testing.T) {
 }
 
 func TestProperties(t *testing.T) {
-	var events []Event
-	s := NewSpace(func(e Event) { events = append(events, e) })
+	var events []broker.Event
+	s := NewSpace(func(e broker.Event) { events = append(events, e) })
 	if err := s.Enter("t1", "thermostat"); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestProperties(t *testing.T) {
 	}
 	found := false
 	for _, e := range events {
-		if v, _ := e.Attr("value"); e.Kind == "propertyChanged" && e.Str("prop") == "setpoint" && v == 21.5 {
+		if v := e.Attrs["value"]; e.Name == "propertyChanged" && e.Str("prop") == "setpoint" && v == 21.5 {
 			found = true
 		}
 	}

@@ -318,7 +318,7 @@ func TestShardedPumpChaosOrderingUnderRace(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, Config{PumpShards: 4, ShardKey: "key", PumpQueue: posters * perPoster})
+	}, Config{PumpShards: 4, PumpQueue: posters * perPoster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestShardedPumpChaosOrderingUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perPoster; i++ {
-				if p.PostEvent(tickEvent(fmt.Sprintf("g%d", g), i)) {
+				if p.PostEvent(keyedEvent(fmt.Sprintf("g%d", g), i)) {
 					accepted.Add(1)
 				} else {
 					rejected.Add(1)

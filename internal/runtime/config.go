@@ -29,14 +29,10 @@ type Config struct {
 
 	// PumpShards is the event pump's shard count (default 0 =
 	// GOMAXPROCS). Each shard owns a bounded queue and a delivery
-	// goroutine; events sharing a shard key are delivered strictly in
-	// post order, events on different shards concurrently.
+	// goroutine. Events route to a shard by a hash of their name, so
+	// events sharing a name are delivered strictly in post order, events
+	// on different shards concurrently.
 	PumpShards int
-
-	// ShardKey names the event attribute the pump shards by. Events
-	// carrying the attribute are routed by its value; events without it
-	// (and the default, "") fall back to a hash of the event name.
-	ShardKey string
 
 	// DrainTimeout bounds Stop's graceful drain (default 5s): events
 	// still queued when the deadline expires are abandoned as counted
@@ -62,7 +58,6 @@ func Defaults() Config {
 	return Config{
 		PumpQueue:    256,
 		PumpShards:   0, // GOMAXPROCS at Start
-		ShardKey:     "",
 		DrainTimeout: 5 * time.Second,
 		DLQCapacity:  256,
 	}

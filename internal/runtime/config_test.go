@@ -45,7 +45,6 @@ func TestConfigDefaults(t *testing.T) {
 	set := Config{
 		PumpQueue:       17,
 		PumpShards:      3,
-		ShardKey:        "room",
 		DrainTimeout:    250 * time.Millisecond,
 		DLQCapacity:     9,
 		DeltaValidation: true,

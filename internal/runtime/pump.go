@@ -1,10 +1,9 @@
 // Sharded event pump: the platform's asynchronous resource-event path.
 //
 // The pump is N independent shards, each a bounded queue drained by its
-// own delivery goroutine. PostEvent routes every event to a shard by its
-// shard key — a configurable event attribute (Config.ShardKey), falling back
-// to the event name — so events sharing a key are delivered strictly in
-// post order while events with different keys flow concurrently. A slow
+// own delivery goroutine. PostEvent routes every event to a shard by a
+// hash of its name, so events sharing a name are delivered strictly in
+// post order while events with different names flow concurrently. A slow
 // resource adapter therefore stalls only the shard its events hash to,
 // not the platform.
 //
@@ -23,8 +22,6 @@
 package runtime
 
 import (
-	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +35,9 @@ import (
 // discards it, and the first post after the next Start creates a fresh
 // one, so a drain can never race a new generation's intake.
 type pump struct {
-	p       *Platform
-	keyAttr string
-	drain   time.Duration
-	shards  []*shard
+	p      *Platform
+	drain  time.Duration
+	shards []*shard
 
 	// queued is the aggregate queue depth across shards, maintained as a
 	// single atomic counter (incremented on accepted post, decremented on
@@ -72,7 +68,7 @@ type shard struct {
 
 // newPump builds and launches a pump with n shards of cap events each.
 func newPump(p *Platform, n, cap int) *pump {
-	pu := &pump{p: p, keyAttr: p.cfg.ShardKey, drain: p.cfg.DrainTimeout}
+	pu := &pump{p: p, drain: p.cfg.DrainTimeout}
 	pu.shards = make([]*shard, n)
 	for i := range pu.shards {
 		pu.shards[i] = &shard{
@@ -91,65 +87,13 @@ func newPump(p *Platform, n, cap int) *pump {
 	return pu
 }
 
-// shardFor routes an event to its shard: the configured key attribute when
-// the event carries it, the event name otherwise, FNV-1a-hashed onto the
-// shard count. Same key, same shard — the ordering guarantee. Non-string
-// key values hash their canonical decimal text, so the same numeric value
-// lands on the same shard whatever Go type carried it (int 7, int64 7,
-// float64 7 and the string "7" all share a shard).
+// shardFor routes an event to its shard by the FNV-1a hash of its name:
+// same name, same shard — the ordering guarantee.
 func (pu *pump) shardFor(ev broker.Event) *shard {
 	if len(pu.shards) == 1 {
 		return pu.shards[0]
 	}
-	if pu.keyAttr != "" {
-		if v, ok := ev.Attrs[pu.keyAttr]; ok {
-			return pu.shards[shardKeyHash(v)%uint32(len(pu.shards))]
-		}
-	}
 	return pu.shards[fnv32str(ev.Name)%uint32(len(pu.shards))]
-}
-
-// scratchPool holds formatting buffers for shard-key values outside the
-// typed fast paths (the only case that still goes through fmt).
-var scratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64)
-	return &b
-}}
-
-// shardKeyHash is the FNV-1a hash of a shard-key value's canonical text.
-// The scalar types an event attribute can realistically carry format into
-// a stack buffer; anything else falls back to fmt through a pooled scratch
-// buffer.
-func shardKeyHash(v any) uint32 {
-	var buf [32]byte
-	switch x := v.(type) {
-	case string:
-		return fnv32str(x)
-	case int:
-		return fnv32bytes(strconv.AppendInt(buf[:0], int64(x), 10))
-	case int64:
-		return fnv32bytes(strconv.AppendInt(buf[:0], x, 10))
-	case float64:
-		// Integral floats print like ints ("7", not "7e+00"), matching
-		// both fmt.Sprint and the int fast paths; the range guard keeps
-		// the float→int conversion defined.
-		if x >= -1e18 && x <= 1e18 && x == float64(int64(x)) {
-			return fnv32bytes(strconv.AppendInt(buf[:0], int64(x), 10))
-		}
-		return fnv32bytes(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
-	case bool:
-		if x {
-			return fnv32str("true")
-		}
-		return fnv32str("false")
-	default:
-		bp := scratchPool.Get().(*[]byte)
-		b := fmt.Appendf((*bp)[:0], "%v", v)
-		h := fnv32bytes(b)
-		*bp = b
-		scratchPool.Put(bp)
-		return h
-	}
 }
 
 func fnv32str(s string) uint32 {
@@ -160,22 +104,12 @@ func fnv32str(s string) uint32 {
 	return h
 }
 
-func fnv32bytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * 16777619
-	}
-	return h
-}
-
 // depth is the total number of queued events across shards.
 func (pu *pump) depth() int64 { return pu.queued.Load() }
 
 // post enqueues ev on its shard. It reports false — counting only the
 // per-shard rejection — when the pump is closed or the shard queue is
-// full; the caller owns the aggregate rejection accounting. An accepted
-// pooled event is owned by the pump from here on and released after its
-// terminal accounting; a refused event stays with the caller.
+// full; the caller owns the aggregate rejection accounting.
 func (pu *pump) post(ev broker.Event) bool {
 	pu.mu.RLock()
 	defer pu.mu.RUnlock()
@@ -226,17 +160,12 @@ func (pu *pump) run(sh *shard) {
 }
 
 // dispatch is one dequeued event's accounting: a drop once the drain
-// deadline has abandoned the queue, a delivery otherwise. Either way the
-// event reaches terminal accounting here, so a pooled event's storage is
-// recycled on every path that no longer references it (the dead-letter
-// queue keeps its events, so a dead-lettered pooled map retires from the
-// pool instead).
+// deadline has abandoned the queue, a delivery otherwise.
 func (pu *pump) dispatch(g uint64, sh *shard, ev broker.Event) {
 	pu.p.gDepth.Set(pu.queued.Add(-1))
 	if pu.abandon.Load() {
 		sh.mDropped.Inc()
 		pu.p.mDropped.Inc()
-		ev.Release()
 		return
 	}
 	pu.deliver(g, sh, ev)
@@ -266,7 +195,6 @@ func (pu *pump) deliver(g uint64, sh *shard, ev broker.Event) {
 	}
 	sh.mDelivered.Inc()
 	p.mDelivered.Inc()
-	ev.Release()
 }
 
 // stop closes the intake and drains: queued events are delivered until the

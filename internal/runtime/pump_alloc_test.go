@@ -11,13 +11,14 @@ import (
 	"github.com/mddsm/mddsm/internal/script"
 )
 
-// buildPumpAllocPlatform is a broker-only platform with a no-op adapter and
-// a metrics registry, the minimal shape of the asynchronous hot path.
-func buildPumpAllocPlatform(t testing.TB, shards int) (*Platform, *obs.Counter) {
+// buildPumpAllocPlatform is a broker-only platform with a no-op adapter, a
+// "*" event action and a metrics registry, the minimal shape of the
+// asynchronous hot path.
+func buildPumpAllocPlatform(t testing.TB, shards int) (*Platform, *obs.Metrics) {
 	t.Helper()
 	b := mwmeta.NewBuilder("pump-alloc", "d")
 	b.BrokerLayer("brk").
-		EventAction("handle", "tick", "", false,
+		EventAction("handle", "*", "", false,
 			mwmeta.StepSpec{Op: "handle", Target: "t"}).
 		Bind("*", "main")
 	m := obs.NewMetrics()
@@ -25,22 +26,20 @@ func buildPumpAllocPlatform(t testing.TB, shards int) (*Platform, *obs.Counter) 
 	p, err := Build(b.Model(), Deps{
 		Adapters: map[string]broker.Adapter{"main": ad},
 		Metrics:  m,
-	}, Config{PumpShards: shards, ShardKey: "src", PumpQueue: 4096})
+	}, Config{PumpShards: shards, PumpQueue: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
-	return p, m.Counter(obs.MEventsDelivered)
+	return p, m
 }
 
-// postPooled posts n pooled events round-robin over the pre-boxed sources
-// and spins until all have been delivered.
-func postPooled(p *Platform, delivered *obs.Counter, srcs []any, n int) {
+// postNamed posts n plain events without attributes round-robin over the
+// given names and spins until all have been delivered.
+func postNamed(p *Platform, delivered *obs.Counter, names []string, n int) {
 	base := delivered.Value()
 	for i := 0; i < n; i++ {
-		ev := broker.AcquireEvent("tick")
-		ev.Attrs["src"] = srcs[i%len(srcs)]
-		for !p.PostEvent(ev) {
+		for !p.PostEvent(broker.Event{Name: names[i%len(names)]}) {
 			goruntime.Gosched()
 		}
 	}
@@ -54,78 +53,34 @@ func postPooled(p *Platform, delivered *obs.Counter, srcs []any, n int) {
 }
 
 // TestPumpHotPathAllocFree is the allocation gate of ROADMAP item 3: once
-// the pools are warm, a steady-state post→shard→deliver round trip of
-// pooled events must not allocate at all — not on the posting goroutine
-// and not on the shard workers (AllocsPerRun reads process-wide mallocs).
+// the scope pool, the interned names and the instruments are warm, a
+// steady-state post→shard→deliver round trip of plain events must not
+// allocate at all — not on the posting goroutine and not on the shard
+// workers (AllocsPerRun reads process-wide mallocs).
 func TestPumpHotPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race CI leg")
 	}
-	p, delivered := buildPumpAllocPlatform(t, 2)
+	const shards = 2
+	p, m := buildPumpAllocPlatform(t, shards)
 	defer p.Stop()
-
-	// Pre-boxed source keys: storing a string into Attrs boxes it, which
-	// is the caller's one-time cost, not the pipeline's.
-	srcs := make([]any, 8)
-	for i, s := range []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"} {
-		srcs[i] = s
-	}
+	delivered := m.Counter(obs.MEventsDelivered)
+	names := []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"}
 
 	// Warm up pools, maps, channels and metric instruments.
-	postPooled(p, delivered, srcs, 4096)
+	postNamed(p, delivered, names, 4096)
+	for i := 0; i < shards; i++ {
+		if m.CounterValue(obs.ShardMetric(obs.MEventsDelivered, i)) == 0 {
+			t.Fatalf("shard %d delivered nothing; the gate must cover every shard", i)
+		}
+	}
 
 	const perRun = 64
 	allocs := testing.AllocsPerRun(50, func() {
-		postPooled(p, delivered, srcs, perRun)
+		postNamed(p, delivered, names, perRun)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates: %.2f allocs per %d-event run (want 0)", allocs, perRun)
-	}
-}
-
-// TestShardKeySameValueSameShardAcrossTypes pins the shardFor contract the
-// fmt.Sprint fallback used to provide implicitly: a shard key carrying the
-// same value routes to the same shard whatever scalar type carried it.
-func TestShardKeySameValueSameShardAcrossTypes(t *testing.T) {
-	pu := &pump{keyAttr: "k", shards: make([]*shard, 8)}
-	for i := range pu.shards {
-		pu.shards[i] = &shard{}
-	}
-	shardOf := func(v any) int {
-		sh := pu.shardFor(broker.Event{Name: "n", Attrs: map[string]any{"k": v}})
-		for i, s := range pu.shards {
-			if s == sh {
-				return i
-			}
-		}
-		t.Fatalf("shardFor returned unknown shard for %v", v)
-		return -1
-	}
-	groups := [][]any{
-		{"7", int(7), int64(7), float64(7)},
-		{"-3", int(-3), int64(-3), float64(-3)},
-		{"0", int(0), int64(0), float64(0)},
-		{"2.5", float64(2.5)},
-		{"true", true},
-		{"false", false},
-		{"1e+30", float64(1e30)},
-	}
-	for _, g := range groups {
-		want := shardOf(g[0])
-		for _, v := range g[1:] {
-			if got := shardOf(v); got != want {
-				t.Errorf("key %v (%T) → shard %d, want %d (same as %v)", v, v, got, want, g[0])
-			}
-		}
-	}
-	// Distinct values must be able to land on distinct shards (not all
-	// collapsing onto one).
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		seen[shardOf(int64(i))] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 distinct int keys all hashed to one shard")
 	}
 }
 
@@ -133,10 +88,9 @@ func TestShardKeySameValueSameShardAcrossTypes(t *testing.T) {
 // with accepted posts, returns to zero once the queue drains, and the
 // platform gauge mirrors it without rescanning shards.
 func TestPumpAggregateDepthCounter(t *testing.T) {
-	p, delivered := buildPumpAllocPlatform(t, 4)
+	p, m := buildPumpAllocPlatform(t, 4)
 	defer p.Stop()
-	srcs := []any{"a", "b", "c", "d"}
-	postPooled(p, delivered, srcs, 1000)
+	postNamed(p, m.Counter(obs.MEventsDelivered), []string{"a", "b", "c", "d"}, 1000)
 
 	p.pumpMu.Lock()
 	pu := p.pump

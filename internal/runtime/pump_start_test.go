@@ -88,7 +88,7 @@ func TestStartedPlatformWithoutEventsHoldsNoPump(t *testing.T) {
 func TestFirstPostStartsPump(t *testing.T) {
 	p, r, m := buildEcho(t, Config{PumpShards: 2})
 	p.Start()
-	if !p.PostEvent(tickEvent("k", 0)) {
+	if !p.PostEvent(keyedEvent("k", 0)) {
 		t.Fatal("first post rejected")
 	}
 	p.pumpMu.Lock()
@@ -117,12 +117,12 @@ func TestFirstPostStartsPump(t *testing.T) {
 // never started, is a counted rejection and creates no pump.
 func TestPostAfterStopStartsNothing(t *testing.T) {
 	p, _, m := buildEcho(t, Config{PumpShards: 2})
-	if p.PostEvent(tickEvent("k", 0)) {
+	if p.PostEvent(keyedEvent("k", 0)) {
 		t.Fatal("post before Start accepted")
 	}
 	p.Start()
 	p.Stop()
-	if p.PostEvent(tickEvent("k", 1)) {
+	if p.PostEvent(keyedEvent("k", 1)) {
 		t.Fatal("post after Stop accepted")
 	}
 	if hasPump(p) {
@@ -138,7 +138,7 @@ func TestStartStopStartThenPost(t *testing.T) {
 	p.Start()
 	p.Stop()
 	p.Start()
-	if !p.PostEvent(tickEvent("k", 7)) {
+	if !p.PostEvent(keyedEvent("k", 7)) {
 		t.Fatal("post after Start/Stop/Start rejected")
 	}
 	waitFor(t, "delivery", func() bool {

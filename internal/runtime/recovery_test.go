@@ -237,7 +237,7 @@ func TestPumpKeepsGenerationThroughPanics(t *testing.T) {
 
 	posted, refused := 0, 0
 	post := func() {
-		if p.PostEvent(tickEvent("poison", posted)) {
+		if p.PostEvent(keyedEvent("poison", posted)) {
 			posted++
 		} else {
 			refused++
@@ -293,7 +293,7 @@ func TestDLQRedeliverRequeue(t *testing.T) {
 	}
 	p.Start()
 	for i := 0; i < 2; i++ {
-		if !p.PostEvent(tickEvent("k", i)) {
+		if !p.PostEvent(keyedEvent("k", i)) {
 			t.Fatalf("post %d rejected", i)
 		}
 	}
@@ -359,7 +359,7 @@ func TestRedeliverLossKeepsLedger(t *testing.T) {
 	}
 	p.Start()
 	defer p.Stop()
-	if !p.PostEvent(tickEvent("a", 0)) {
+	if !p.PostEvent(keyedEvent("a", 0)) {
 		t.Fatal("post a rejected")
 	}
 	waitFor(t, "a dead-lettered", func() bool { return len(p.DeadLetters()) == 1 })
@@ -375,7 +375,7 @@ func TestRedeliverLossKeepsLedger(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the replay of a never reached the adapter")
 	}
-	if !p.PostEvent(tickEvent("b", 1)) {
+	if !p.PostEvent(keyedEvent("b", 1)) {
 		t.Fatal("post b rejected")
 	}
 	waitFor(t, "b dead-lettered", func() bool { return m.CounterValue(obs.MEventsDeadLettered) == 2 })
@@ -392,7 +392,7 @@ func TestRedeliverLossKeepsLedger(t *testing.T) {
 	if got := m.CounterValue(obs.MDLQLost); got != 1 {
 		t.Errorf("dlq.lost = %d, want 1", got)
 	}
-	if dls := p.DeadLetters(); len(dls) != 1 || dls[0].Event.Attrs["key"] != "b" {
+	if dls := p.DeadLetters(); len(dls) != 1 || dls[0].Event.Name != "b" {
 		t.Errorf("dead letters = %+v, want only b", dls)
 	}
 }
@@ -411,18 +411,18 @@ func TestStartStopPostStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Start()
-	if !p.PostEvent(tickEvent("k", 0)) {
+	if !p.PostEvent(keyedEvent("k", 0)) {
 		t.Fatal("post on running pump rejected")
 	}
 	p.Stop()
-	if p.PostEvent(tickEvent("k", 1)) {
+	if p.PostEvent(keyedEvent("k", 1)) {
 		t.Fatal("post after Stop must report false")
 	}
 	if got := m.CounterValue(obs.MEventsRejected); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 	p.Start()
-	if !p.PostEvent(tickEvent("k", 2)) {
+	if !p.PostEvent(keyedEvent("k", 2)) {
 		t.Fatal("post after restart rejected")
 	}
 	waitFor(t, "post-restart delivery", func() bool {

@@ -599,7 +599,7 @@ func (p *Platform) DeliverEvent(ev broker.Event) error {
 // Start arms the platform for asynchronous events. The event pump itself
 // starts with the first PostEvent: it routes resource events onto N
 // shards (Config.PumpShards, default GOMAXPROCS), each drained by its own
-// goroutine into the Broker layer, and events sharing a shard key are
+// goroutine into the Broker layer, and events sharing a name are
 // delivered strictly in post order. A platform that is never posted an
 // event holds no shard queue or goroutine. Start is idempotent.
 func (p *Platform) Start() {

@@ -729,6 +729,62 @@ func TestPostEventQueueFullDrops(t *testing.T) {
 	}
 }
 
+// TestDeferredEventKeepsItsAttributes pins the contract that an accepted
+// event's attributes stay valid until every layer has processed it. While
+// a submit holds the Synthesis layer, a pumped event reaching the layer is
+// deferred, and the pump counts it delivered; the layer processes it only
+// once the submit finishes, so it must still see the event's payload then.
+func TestDeferredEventKeepsItsAttributes(t *testing.T) {
+	b := &blockingRec{gate: make(chan struct{}), entered: make(chan struct{})}
+	m := obs.NewMetrics()
+	l := toyLTS()
+	l.On("run", "event:ping", "", "run",
+		lts.CommandTemplate{Op: "createSession", Target: "session:{who}"})
+	p, err := Build(fullModel(t), Deps{
+		DSML:       toyDSML(t),
+		LTSes:      map[string]*lts.LTS{"sem": l},
+		Adapters:   map[string]broker.Adapter{"main": b},
+		Repository: toyRepo(t),
+		Metrics:    m,
+	}, Config{PumpShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Stop()
+
+	submitted := make(chan error, 1)
+	go func() {
+		draft := p.UI.NewDraft()
+		draft.MustAdd("s1", "Session")
+		_, err := draft.Submit()
+		submitted <- err
+	}()
+	select {
+	case <-b.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the submit never reached the adapter")
+	}
+	if !p.PostEvent(broker.Event{Name: "ping", Attrs: map[string]any{"who": "alice"}}) {
+		t.Fatal("post rejected")
+	}
+	// Let the pump deliver the event into the busy layer. A layer that
+	// waits for the submit instead of deferring never lets the count
+	// reach 1 here, so the wait is bounded rather than required.
+	for deadline := time.Now().Add(time.Second); m.CounterValue(obs.MEventsDelivered) < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(b.gate)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	want := []string{"svcCreate session:s1", "svcCreate session:alice"}
+	if got := b.lines(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("trace = %q, want %q", got, want)
+	}
+}
+
 func TestMonitorOptions(t *testing.T) {
 	b := mwmeta.NewBuilder("mon-opt-vm", "d")
 	b.BrokerLayer("brk").
@@ -847,14 +903,14 @@ func TestObsEndToEnd(t *testing.T) {
 }
 
 // pumpEventModel authors a broker-only middleware model whose event action
-// echoes each event's key and sequence number into the resource trace, so
-// tests can assert per-key delivery order and exact delivery counts.
+// echoes each event's name and sequence number into the resource trace, so
+// tests can assert per-name delivery order and exact delivery counts.
 func pumpEventModel(t testing.TB) *metamodel.Model {
 	t.Helper()
 	b := mwmeta.NewBuilder("pump-vm", "d")
 	b.BrokerLayer("brk").
-		EventAction("echo", "tick", "", false,
-			mwmeta.StepSpec{Op: "h", Target: "{key}:{seq}"}).
+		EventAction("echo", "*", "", false,
+			mwmeta.StepSpec{Op: "h", Target: "{event}:{seq}"}).
 		Bind("*", "main")
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
@@ -862,10 +918,10 @@ func pumpEventModel(t testing.TB) *metamodel.Model {
 	return b.Model()
 }
 
-func tickEvent(key string, seq int) broker.Event {
-	return broker.Event{Name: "tick", Attrs: map[string]any{
-		"key": key, "seq": fmt.Sprintf("%06d", seq),
-	}}
+// keyedEvent is the pump tests' event: its name is its ordering key, the
+// one the pump shards by.
+func keyedEvent(key string, seq int) broker.Event {
+	return broker.Event{Name: key, Attrs: map[string]any{"seq": fmt.Sprintf("%06d", seq)}}
 }
 
 // assertPumpAccounting checks the pump's lifetime invariant: every posted
@@ -899,13 +955,13 @@ func TestStopDrainsQueuedEvents(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, Config{PumpQueue: K, PumpShards: 4, ShardKey: "key"})
+	}, Config{PumpQueue: K, PumpShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	for i := 0; i < K; i++ {
-		if !p.PostEvent(tickEvent(fmt.Sprintf("k%d", i%8), i)) {
+		if !p.PostEvent(keyedEvent(fmt.Sprintf("k%d", i%8), i)) {
 			t.Fatalf("post %d rejected", i)
 		}
 	}
@@ -939,7 +995,7 @@ func TestStopDrainDeadlineAbandonsAsDrops(t *testing.T) {
 	}
 	p.Start()
 	for i := 0; i < 3; i++ {
-		if !p.PostEvent(tickEvent("k", i)) {
+		if !p.PostEvent(keyedEvent("k", i)) {
 			t.Fatalf("post %d rejected", i)
 		}
 	}
@@ -982,13 +1038,13 @@ func TestDeliverFailureNotCountedDelivered(t *testing.T) {
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
 		Injector: in,
-	}, Config{PumpShards: 2, ShardKey: "key"})
+	}, Config{PumpShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	for i := 0; i < 5; i++ {
-		if !p.PostEvent(tickEvent("k", i)) {
+		if !p.PostEvent(keyedEvent("k", i)) {
 			t.Fatalf("post %d rejected", i)
 		}
 	}
@@ -1016,13 +1072,13 @@ func TestPerShardMetrics(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, Config{PumpShards: shards, ShardKey: "key", PumpQueue: K})
+	}, Config{PumpShards: shards, PumpQueue: K})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	for i := 0; i < K; i++ {
-		if !p.PostEvent(tickEvent(fmt.Sprintf("key-%d", i), i)) {
+		if !p.PostEvent(keyedEvent(fmt.Sprintf("key-%d", i), i)) {
 			t.Fatalf("post %d rejected", i)
 		}
 	}
@@ -1040,15 +1096,15 @@ func TestPerShardMetrics(t *testing.T) {
 		t.Errorf("per-shard delivered sum = %d, aggregate = %d", perShard, agg)
 	}
 	if spread < 2 {
-		t.Errorf("40 distinct keys landed on %d shard(s); want spread across >= 2", spread)
+		t.Errorf("40 distinct names landed on %d shard(s); want spread across >= 2", spread)
 	}
 	if !strings.Contains(m.Snapshot(), obs.ShardMetric(obs.MQueueDepth, 0)) {
 		t.Error("per-shard depth gauge missing from the snapshot")
 	}
 }
 
-// TestPerKeyOrderingAcrossShards: events sharing a shard key are delivered
-// strictly in post order even when many keys flow concurrently.
+// TestPerKeyOrderingAcrossShards: events sharing a name are delivered
+// strictly in post order even when many names flow concurrently.
 func TestPerKeyOrderingAcrossShards(t *testing.T) {
 	const keys, perKey = 8, 100
 	r := &rec{}
@@ -1056,7 +1112,7 @@ func TestPerKeyOrderingAcrossShards(t *testing.T) {
 	p, err := Build(pumpEventModel(t), Deps{
 		Adapters: map[string]broker.Adapter{"main": r},
 		Metrics:  m,
-	}, Config{PumpShards: 4, ShardKey: "key", PumpQueue: keys * perKey})
+	}, Config{PumpShards: 4, PumpQueue: keys * perKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1067,7 +1123,7 @@ func TestPerKeyOrderingAcrossShards(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < perKey; i++ {
-				if !p.PostEvent(tickEvent(fmt.Sprintf("g%d", k), i)) {
+				if !p.PostEvent(keyedEvent(fmt.Sprintf("g%d", k), i)) {
 					t.Errorf("key g%d: post %d rejected", k, i)
 					return
 				}

@@ -15,11 +15,12 @@
 // conformance is cross-checked: the middleware model must be a valid
 // instance of the middleware metamodel, the DSK must be internally
 // consistent, and the synthesis semantics must speak about classes and
-// features that actually exist in the application DSML. Check runs the
-// DSML and DSK checks once per definition and returns it in checked form,
-// which is immutable and shared by every platform of the domain. Build
-// and Restore bind it to one platform's own resources (Bindings) and walk
-// the middleware model that platform runs.
+// features that actually exist in the application DSML. Check runs these
+// checks once per definition, compiles the middleware model into the
+// runtime's layer plan, and returns the definition in checked form, which
+// is immutable and shared by every platform of the domain. Build and
+// Restore instantiate that plan (or a snapshot's) bound to one platform's
+// own resources (Bindings), and walk and parse nothing.
 package core
 
 import (
@@ -31,7 +32,6 @@ import (
 	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
-	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/registry"
 	"github.com/mddsm/mddsm/internal/runtime"
@@ -89,7 +89,8 @@ type Bindings struct {
 
 // Validate cross-checks the definition without instantiating anything:
 //
-//   - the middleware model conforms to the middleware metamodel;
+//   - the middleware model conforms to the middleware metamodel and
+//     compiles (its layers stack, its guards and conditions parse);
 //   - the DSML and taxonomy are internally valid;
 //   - every procedure's classifiers resolve (by building the repository);
 //   - every LTS validates, and every class/feature its event patterns
@@ -99,9 +100,7 @@ func (d *Definition) Validate() error {
 	if err := d.checkMiddleware(); err != nil {
 		return err
 	}
-	// Validation normalises in place; check a copy so the definition's
-	// model is left as authored.
-	if err := d.Middleware.Clone().Validate(mwmeta.MM()); err != nil {
+	if _, err := runtime.Compile(d.Middleware); err != nil {
 		return fmt.Errorf("definition %s: middleware model: %w", d.Name, err)
 	}
 	_, err := d.checkDSK()
@@ -169,25 +168,31 @@ func (d *Definition) buildRepository() (*registry.Repository, error) {
 	return repo, nil
 }
 
-// Checked is a definition whose DSML and DSK passed Check, together with
-// the procedure repository the check built. It is immutable, so every
-// platform of the domain shares it — DSML, middleware model, taxonomy,
-// procedures, repository and LTS definitions — while each platform keeps
-// its own layer state, LTS instance, intent cache, event pump and ledgers.
+// Checked is a definition that passed Check, together with the compiled
+// plan of its middleware model and the procedure repository the check
+// built. It is immutable, so every platform of the domain shares it —
+// DSML, middleware model and plan, taxonomy, procedures, repository and
+// LTS definitions — while each platform keeps its own layer state, LTS
+// instance, intent cache, event pump and ledgers.
 type Checked struct {
 	def  Definition
+	plan *runtime.Plan
 	repo *registry.Repository
 }
 
-// Check runs Validate's checks of the DSML and the DSK once and returns
-// the definition in checked form, sealing its taxonomy and repository
-// against change. The definition's models, maps, procedures and LTSes
-// must not be modified afterwards. The middleware model is only required
-// to be present: Build walks it once per platform, and Restore runs the
-// snapshot's model instead.
+// Check runs Validate's checks once and returns the definition in checked
+// form: it conforms the middleware model to the middleware metamodel and
+// compiles it into the layer plan every platform of the definition
+// instantiates, checks the DSML and the DSK, and seals the taxonomy and
+// repository against change. The definition's models, maps, procedures
+// and LTSes must not be modified afterwards.
 func Check(def Definition) (*Checked, error) {
 	if err := def.checkMiddleware(); err != nil {
 		return nil, err
+	}
+	plan, err := runtime.Compile(def.Middleware)
+	if err != nil {
+		return nil, fmt.Errorf("definition %s: middleware model: %w", def.Name, err)
 	}
 	repo, err := def.checkDSK()
 	if err != nil {
@@ -196,29 +201,42 @@ func Check(def Definition) (*Checked, error) {
 	if def.DSK.Taxonomy != nil {
 		def.DSK.Taxonomy.Seal()
 	}
-	return &Checked{def: def, repo: repo}, nil
+	return &Checked{def: def, plan: plan, repo: repo}, nil
 }
 
-// Build instantiates a platform of the checked definition through the
-// generic runtime's component factory, bound to b and tuned by cfg. The
-// DSML and the DSK were checked by Check; the middleware model is walked
-// once, as runtime.Build checks the copy the platform keeps.
+// Build instantiates a platform of the checked definition from its
+// compiled plan, bound to b and tuned by cfg. Every platform of the
+// definition shares the plan and the middleware model in it; Build walks
+// and parses neither.
 func Build(c *Checked, b Bindings, cfg runtime.Config) (*runtime.Platform, error) {
-	p, err := runtime.Build(c.def.Middleware, c.deps(b), cfg)
+	p, err := runtime.Instantiate(c.plan, c.deps(b), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("definition %s: %w", c.def.Name, err)
 	}
 	return p, nil
 }
 
+// Decode parses Checkpoint bytes of a platform of the checked definition
+// and checks them where they enter the process: runtime.DecodeSnapshot
+// conforms the snapshot's middleware model to the middleware metamodel
+// and compiles it, and conforms its application model to the
+// definition's DSML, one walk each.
+func Decode(c *Checked, data []byte) (*runtime.Snapshot, error) {
+	snap, err := runtime.DecodeSnapshot(data, c.def.DSML)
+	if err != nil {
+		return nil, fmt.Errorf("definition %s: %w", c.def.Name, err)
+	}
+	return snap, nil
+}
+
 // Restore rebuilds a platform of the checked definition from a
-// runtime.Snapshot (decoded from Checkpoint bytes or captured in
-// process), bound to b. The snapshot's middleware model replaces the
-// definition's as the platform structure (it is the model the
-// checkpointed platform actually ran); the definition's is neither walked
-// nor used. runtime.RestoreSnapshot walks the snapshot's middleware and
-// application models once each, in place, and shares them with the
-// restored platform when they are already in validated form.
+// runtime.Snapshot (decoded by Decode or captured in process), bound to
+// b. The snapshot's plan replaces the definition's as the platform
+// structure (it is the model the checkpointed platform actually ran;
+// captured from a platform of the definition, it is the definition's
+// plan itself). Both of the snapshot's models were checked when it was
+// captured or decoded, so the restore walks neither: the restored
+// platform shares the snapshot's plan and committed model.
 func Restore(c *Checked, b Bindings, snap *runtime.Snapshot, cfg runtime.Config) (*runtime.Platform, error) {
 	p, err := runtime.RestoreSnapshot(snap, c.deps(b), cfg)
 	if err != nil {

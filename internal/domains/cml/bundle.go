@@ -10,11 +10,10 @@ import (
 )
 
 // shared memoises the checked CVM definition: the CML metamodel (and with
-// it the lazily compiled conformance validator), the CVM middleware model,
-// the taxonomy, the procedures and their repository, and the synthesis
-// LTS. They are built and checked once, and every CVM shares them. None
-// of them is modified: Build validates a copy of the middleware model, and
-// a restore runs the snapshot's model instead.
+// it the lazily compiled conformance validator), the CVM middleware model
+// and its compiled plan, the taxonomy, the procedures and their
+// repository, and the synthesis LTS. They are built and checked once, and
+// every CVM shares them; none of them is modified.
 var shared = sync.OnceValues(func() (*core.Checked, error) {
 	return core.Check(core.Definition{
 		Name:       "cvm",
@@ -30,15 +29,12 @@ var shared = sync.OnceValues(func() (*core.Checked, error) {
 
 func init() {
 	domains.Register(domains.Bundle{
-		Name: "cml",
-		Doc:  "communication platform (CVM): sessions, streams and attachments over a simulated comm service",
+		Name:    "cml",
+		Doc:     "communication platform (CVM): sessions, streams and attachments over a simulated comm service",
+		Checked: shared,
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			def, err := shared()
-			if err != nil {
-				return nil, err
-			}
 			vm, b := assemble(cfg)
-			return domains.NewInstance(def, b,
+			return domains.NewInstance(b,
 				func() string { return vm.Service.Trace().String() },
 				func(p *runtime.Platform, _ bool) { vm.Platform = p },
 			), nil

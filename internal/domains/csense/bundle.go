@@ -17,10 +17,9 @@ import (
 var sharedDSML = sync.OnceValue(Metamodel)
 
 // sharedProvider memoises the checked provider definition: the CSML
-// metamodel, the provider middleware model and the provider LTS, checked
-// once and shared by every provider platform — bundle instances and
-// New's. None of them is modified: Build validates a copy of the
-// middleware model, and a restore runs the snapshot's model instead.
+// metamodel, the provider middleware model and its compiled plan, and the
+// provider LTS, checked once and shared by every provider platform —
+// bundle instances and New's; none of them is modified.
 var sharedProvider = sync.OnceValues(func() (*core.Checked, error) {
 	return core.Check(core.Definition{
 		Name:       "csvm-provider",
@@ -31,8 +30,8 @@ var sharedProvider = sync.OnceValues(func() (*core.Checked, error) {
 })
 
 // sharedDevice memoises the checked device definition (the CSML
-// metamodel, the device middleware model and the device LTS) that every
-// device platform of New's deployments shares.
+// metamodel, the device middleware model and its compiled plan, and the
+// device LTS) that every device platform of New's deployments shares.
 var sharedDevice = sync.OnceValues(func() (*core.Checked, error) {
 	return core.Check(core.Definition{
 		Name:       "csvm-device",
@@ -46,16 +45,13 @@ func init() {
 	domains.Register(domains.Bundle{
 		Name: "csense",
 		Doc:  "crowdsensing provider platform (CSVM): query synthesis and fleet acquisition over a simulated device fleet",
+		// The bundle provisions the provider configuration (the three
+		// bottom layers, paper §IV-D): query models are submitted into its
+		// Synthesis layer and executed against a deterministic simulated
+		// fleet. Round results come back up as top-of-stack "queryResult"
+		// events.
+		Checked: sharedProvider,
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			// The bundle provisions the provider configuration (the three
-			// bottom layers, paper §IV-D): query models are submitted into
-			// its Synthesis layer and executed against a deterministic
-			// simulated fleet. Round results come back up as
-			// top-of-stack "queryResult" events.
-			def, err := sharedProvider()
-			if err != nil {
-				return nil, err
-			}
 			fleet := sensing.NewFleet(nil, 1)
 			var (
 				mu       sync.Mutex
@@ -77,7 +73,7 @@ func init() {
 				Injector:   cfg.Injector,
 				Resilience: cfg.Resilience,
 			}
-			return domains.NewInstance(def, b,
+			return domains.NewInstance(b,
 				func() string { return fleet.Trace().String() },
 				func(p *runtime.Platform, _ bool) {
 					mu.Lock()

@@ -9,8 +9,10 @@
 // cml.Restore and mgrid.Restore used to copy-paste the
 // assemble→core.Restore→reseed dance, domains.RestoreSnapshot(bundle,
 // snapshot, cfg) is the single registry-driven path (domains.New is its
-// construction twin, domains.Restore its byte-decoding front). Import github.com/mddsm/mddsm/internal/domains/all
-// for the side effect of registering every built-in bundle.
+// construction twin, domains.Decode checks checkpoint bytes against the
+// bundle's definition, and domains.Restore is the two together). Import
+// github.com/mddsm/mddsm/internal/domains/all for the side effect of
+// registering every built-in bundle.
 package domains
 
 import (
@@ -62,17 +64,20 @@ type Instance struct {
 	attach   func(p *runtime.Platform, restored bool)
 }
 
-// Bundle is one registered domain: a name, a one-line description and the
-// assembly function producing a fresh shell around the bundle's shared,
-// checked definition.
+// Bundle is one registered domain: a name, a one-line description, the
+// bundle's shared, checked definition and the assembly function producing
+// a fresh shell around it.
 type Bundle struct {
 	// Name keys the bundle in the registry ("cml", "mgrid", ...).
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// Assemble builds a fresh instance shell: the bundle's checked
-	// definition and the shell's own bindings, Platform left nil (New and
-	// Restore fill it through core).
+	// Checked returns the bundle's checked definition, built once and
+	// shared by every instance: DSML, DSK, and the compiled plan of its
+	// middleware model.
+	Checked func() (*core.Checked, error)
+	// Assemble builds a fresh instance shell with its own bindings,
+	// Platform left nil (New and Restore fill it through core).
 	Assemble func(cfg Config) (*Instance, error)
 }
 
@@ -84,8 +89,8 @@ var (
 // Register installs a bundle; it panics on a duplicate or empty name
 // (registration is an init-time programming act, not a runtime input).
 func Register(b Bundle) {
-	if b.Name == "" || b.Assemble == nil {
-		panic("domains: Register needs a name and an Assemble func")
+	if b.Name == "" || b.Checked == nil || b.Assemble == nil {
+		panic("domains: Register needs a name, a Checked and an Assemble func")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -102,8 +107,8 @@ func Register(b Bundle) {
 // deterministic bundle (same spec, same seed) in one process is a no-op
 // instead of the panic Register reserves for programming errors.
 func RegisterIfAbsent(b Bundle) bool {
-	if b.Name == "" || b.Assemble == nil {
-		panic("domains: RegisterIfAbsent needs a name and an Assemble func")
+	if b.Name == "" || b.Checked == nil || b.Assemble == nil {
+		panic("domains: RegisterIfAbsent needs a name, a Checked and an Assemble func")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -134,25 +139,40 @@ func Names() []string {
 	return out
 }
 
-// assemble resolves the bundle and builds its shell, stamping the
-// bundle name into the instance.
-func assemble(bundle string, cfg Config) (*Instance, error) {
+// lookup resolves a registered bundle and its checked definition.
+func lookup(bundle string) (Bundle, *core.Checked, error) {
 	b, ok := Lookup(bundle)
 	if !ok {
-		return nil, fmt.Errorf("domains: unknown bundle %q (registered: %v)", bundle, Names())
+		return Bundle{}, nil, fmt.Errorf("domains: unknown bundle %q (registered: %v)", bundle, Names())
+	}
+	c, err := b.Checked()
+	if err != nil {
+		return Bundle{}, nil, fmt.Errorf("domains: check %s: %w", bundle, err)
+	}
+	return b, c, nil
+}
+
+// assemble resolves the bundle and builds its shell around the bundle's
+// checked definition, stamping the bundle name into the instance.
+func assemble(bundle string, cfg Config) (*Instance, error) {
+	b, c, err := lookup(bundle)
+	if err != nil {
+		return nil, err
 	}
 	inst, err := b.Assemble(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("domains: assemble %s: %w", bundle, err)
 	}
 	inst.Bundle = bundle
+	inst.shared = c
 	if inst.Trace == nil {
 		inst.Trace = func() string { return "" }
 	}
 	return inst, nil
 }
 
-// New provisions a fresh platform instance of the named bundle.
+// New provisions a fresh platform instance of the named bundle. It
+// instantiates the bundle's compiled plan and walks no model.
 func New(bundle string, cfg Config) (*Instance, error) {
 	inst, err := assemble(bundle, cfg)
 	if err != nil {
@@ -166,24 +186,42 @@ func New(bundle string, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// Restore rebuilds an instance of the named bundle from
-// runtime.Checkpoint bytes: it decodes them and hands the snapshot to
-// RestoreSnapshot. The restored platform is not started.
-func Restore(bundle string, snapshot []byte, cfg Config) (*Instance, error) {
-	snap, err := runtime.DecodeSnapshot(snapshot)
+// Decode checks runtime.Checkpoint bytes of the named bundle where they
+// enter the process (core.Decode): the snapshot's middleware model must
+// conform to the middleware metamodel and compile, and its application
+// model must conform to the bundle's DSML. The returned snapshot restores
+// through RestoreSnapshot without walking either model again.
+func Decode(bundle string, snapshot []byte) (*runtime.Snapshot, error) {
+	_, c, err := lookup(bundle)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := core.Decode(c, snapshot)
 	if err != nil {
 		return nil, fmt.Errorf("domains: restore %s: %w", bundle, err)
+	}
+	return snap, nil
+}
+
+// Restore rebuilds an instance of the named bundle from
+// runtime.Checkpoint bytes: Decode, then RestoreSnapshot. The restored
+// platform is not started.
+func Restore(bundle string, snapshot []byte, cfg Config) (*Instance, error) {
+	snap, err := Decode(bundle, snapshot)
+	if err != nil {
+		return nil, err
 	}
 	return RestoreSnapshot(bundle, snap, cfg)
 }
 
 // RestoreSnapshot rebuilds an instance of the named bundle from a
-// runtime.Snapshot: the bundle's shell is assembled fresh around its
-// shared, checked definition, the snapshot's middleware model and layer
-// state are reinstated through core.Restore — the restored platform
-// shares the snapshot's models rather than copying them — and the shell's
-// feedback loop is re-attached. It replaces the per-domain Restore copies
-// (cml.Restore, mgrid.Restore). The restored platform is not started.
+// runtime.Snapshot (captured from an instance of the bundle, or returned
+// by Decode): the bundle's shell is assembled fresh, the snapshot's plan
+// and layer state are reinstated through core.Restore — the restored
+// platform shares the snapshot's plan and committed model, and walks
+// neither — and the shell's feedback loop is re-attached. It replaces the
+// per-domain Restore copies (cml.Restore, mgrid.Restore). The restored
+// platform is not started.
 func RestoreSnapshot(bundle string, snap *runtime.Snapshot, cfg Config) (*Instance, error) {
 	inst, err := assemble(bundle, cfg)
 	if err != nil {
@@ -207,11 +245,11 @@ func (inst *Instance) bind(p *runtime.Platform, restored bool) {
 }
 
 // NewInstance builds the Instance a Bundle.Assemble returns: a shell
-// around the bundle's checked definition, bound to b. It lives here
-// (rather than exposing the struct fields) so the definition, bindings and
-// attach hook stay write-once.
-func NewInstance(shared *core.Checked, b core.Bindings, trace func() string, attach func(p *runtime.Platform, restored bool)) *Instance {
-	return &Instance{shared: shared, bindings: b, Trace: trace, attach: attach}
+// bound to b, which New and Restore put around the bundle's checked
+// definition. It lives here (rather than exposing the struct fields) so
+// the bindings and attach hook stay write-once.
+func NewInstance(b core.Bindings, trace func() string, attach func(p *runtime.Platform, restored bool)) *Instance {
+	return &Instance{bindings: b, Trace: trace, attach: attach}
 }
 
 // Close stops the instance's platform (drain included). It is safe on an

@@ -10,10 +10,9 @@ import (
 
 // shared memoises the checked MGridVM definition: the MGridML metamodel
 // (and with it the compiled conformance validator), the MGridVM middleware
-// model, the taxonomy, the procedures and their repository, and the
-// synthesis LTS. They are built and checked once, and every MGridVM shares
-// them. None of them is modified: Build validates a copy of the middleware
-// model, and a restore runs the snapshot's model instead.
+// model and its compiled plan, the taxonomy, the procedures and their
+// repository, and the synthesis LTS. They are built and checked once, and
+// every MGridVM shares them; none of them is modified.
 var shared = sync.OnceValues(func() (*core.Checked, error) {
 	return core.Check(core.Definition{
 		Name:       "mgridvm",
@@ -29,15 +28,12 @@ var shared = sync.OnceValues(func() (*core.Checked, error) {
 
 func init() {
 	domains.Register(domains.Bundle{
-		Name: "mgrid",
-		Doc:  "microgrid platform (MGridVM): sources, loads and battery policy over a simulated plant",
+		Name:    "mgrid",
+		Doc:     "microgrid platform (MGridVM): sources, loads and battery policy over a simulated plant",
+		Checked: shared,
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			def, err := shared()
-			if err != nil {
-				return nil, err
-			}
 			vm, b := assemble(cfg)
-			return domains.NewInstance(def, b,
+			return domains.NewInstance(b,
 				func() string { return vm.Plant.Trace().String() },
 				vm.attach,
 			), nil

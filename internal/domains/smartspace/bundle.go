@@ -10,11 +10,9 @@ import (
 
 // shared memoises the checked 2SVM central definition: the 2SML metamodel
 // (and with it the compiled conformance validator), the central
-// middleware model and the synthesis LTS. They are built and checked
-// once, and every 2SVM — built by New or provisioned through the bundle
-// registry — shares them. None of them is modified: Build validates a copy
-// of the middleware model, and a restore runs the snapshot's model
-// instead.
+// middleware model and its compiled plan, and the synthesis LTS. They are
+// built and checked once, and every 2SVM — built by New or provisioned
+// through the bundle registry — shares them; none of them is modified.
 var shared = sync.OnceValues(func() (*core.Checked, error) {
 	return core.Check(core.Definition{
 		Name:       "2svm",
@@ -26,15 +24,12 @@ var shared = sync.OnceValues(func() (*core.Checked, error) {
 
 func init() {
 	domains.Register(domains.Bundle{
-		Name: "smartspace",
-		Doc:  "smart-space central platform (2SVM): users, objects and rules over a simulated space fabric",
+		Name:    "smartspace",
+		Doc:     "smart-space central platform (2SVM): users, objects and rules over a simulated space fabric",
+		Checked: shared,
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
-			def, err := shared()
-			if err != nil {
-				return nil, err
-			}
 			vm, b := assemble(cfg)
-			return domains.NewInstance(def, b,
+			return domains.NewInstance(b,
 				func() string { return vm.Hub.Space().Trace().String() },
 				vm.attach,
 			), nil

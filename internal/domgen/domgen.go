@@ -211,10 +211,9 @@ func Generate(spec Spec) (*Domain, error) {
 	}
 
 	// The core's cross-check, run once at generation so a bad domain
-	// fails fast with a generator error: core.Check for the DSML and the
-	// DSK, whose checked definition every tenant of the domain shares, and
-	// the middleware model's conformance, which each platform build checks
-	// again on its own copy.
+	// fails fast with a generator error: core.Check conforms and compiles
+	// the middleware model and checks the DSML and the DSK, and every
+	// tenant of the domain shares the checked definition.
 	d.shared, err = core.Check(core.Definition{
 		Name:       d.Name,
 		DSML:       d.DSML,
@@ -223,9 +222,6 @@ func Generate(spec Spec) (*Domain, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("domgen %s: %w", d.Name, err)
-	}
-	if err := d.middleware.Clone().Validate(mwmeta.MM()); err != nil {
-		return nil, fmt.Errorf("domgen %s: middleware model: %w", d.Name, err)
 	}
 	return d, nil
 }
@@ -478,10 +474,8 @@ func (s *sink) trace() string {
 
 // Bundle wraps the domain as a registry bundle: Assemble builds a fresh
 // shell (its own sink adapter) around the domain's checked definition —
-// the shared DSML, LTS and authored middleware model — exactly the shape
-// the hand-built bundles register. The middleware model is never
-// modified: Build validates a copy, and a restore runs the snapshot's
-// model instead.
+// the shared DSML, LTS, authored middleware model and its compiled plan —
+// exactly the shape the hand-built bundles register.
 func (d *Domain) Bundle() domains.Bundle {
 	return domains.Bundle{
 		Name: d.Name,
@@ -489,6 +483,7 @@ func (d *Domain) Bundle() domains.Bundle {
 			"synthetic domain (seed %d: %d classes/depth %d, %d enums, lts %s×%d, %d event types)",
 			d.Spec.Seed, d.Spec.Classes, d.Spec.Depth, d.Spec.Enums,
 			d.Spec.LTSShape, d.Spec.LTSStates, d.Spec.EventTypes),
+		Checked: func() (*core.Checked, error) { return d.shared, nil },
 		Assemble: func(cfg domains.Config) (*domains.Instance, error) {
 			snk := newSink()
 			b := core.Bindings{
@@ -497,7 +492,7 @@ func (d *Domain) Bundle() domains.Bundle {
 				Injector:   cfg.Injector,
 				Resilience: cfg.Resilience,
 			}
-			return domains.NewInstance(d.shared, b, snk.trace, nil), nil
+			return domains.NewInstance(b, snk.trace, nil), nil
 		},
 	}
 }

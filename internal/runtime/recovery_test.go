@@ -397,6 +397,52 @@ func TestRedeliverLossKeepsLedger(t *testing.T) {
 	}
 }
 
+// TestRestoreOverflowKeepsLedger: a platform restored with a smaller DLQ
+// than its snapshot's backlog loses the dead letters that do not fit. The
+// pump already counted each of them dead-lettered, and a host that
+// restores onto the same metrics (serve's rehydration) keeps that ledger,
+// so the overflow counts only in dlq.lost.
+func TestRestoreOverflowKeepsLedger(t *testing.T) {
+	m := obs.NewMetrics()
+	deps := Deps{
+		Adapters: map[string]broker.Adapter{"main": broker.AdapterFunc(func(cmd script.Command) error {
+			return fmt.Errorf("adapter down: %s", cmd.Target)
+		})},
+		Metrics: m,
+	}
+	p, err := Build(pumpEventModel(t), deps, Config{PumpShards: 1, DLQCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	for i, key := range []string{"a", "b", "c"} {
+		if !p.PostEvent(keyedEvent(key, i)) {
+			t.Fatalf("post %s rejected", key)
+		}
+	}
+	waitFor(t, "three dead letters", func() bool { return len(p.DeadLetters()) == 3 })
+	snap := p.Quiesce()
+
+	q, err := RestoreSnapshot(snap, deps, Config{DLQCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	assertPumpAccounting(t, m, 3, 0)
+	if got := m.CounterValue(obs.MDeliverFailures); got != 0 {
+		t.Errorf("deliver failures = %d, want 0", got)
+	}
+	if got := m.CounterValue(obs.MEventsDeadLettered); got != 3 {
+		t.Errorf("dead-lettered = %d, want 3", got)
+	}
+	if got := m.CounterValue(obs.MDLQLost); got != 2 {
+		t.Errorf("dlq.lost = %d, want 2", got)
+	}
+	if dls := q.DeadLetters(); len(dls) != 1 || dls[0].Event.Name != "a" {
+		t.Errorf("restored dead letters = %+v, want only a", dls)
+	}
+}
+
 // TestStartStopPostStart is the regression test for the lifecycle
 // satellite: a post after Stop fails fast as a counted rejection and the
 // platform comes back cleanly on the next Start.

@@ -16,22 +16,17 @@ package runtime
 import (
 	"fmt"
 	goruntime "runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/mddsm/mddsm/internal/broker"
 	"github.com/mddsm/mddsm/internal/controller"
 	"github.com/mddsm/mddsm/internal/eu"
-	"github.com/mddsm/mddsm/internal/expr"
 	"github.com/mddsm/mddsm/internal/fault"
 	"github.com/mddsm/mddsm/internal/intent"
 	"github.com/mddsm/mddsm/internal/lts"
 	"github.com/mddsm/mddsm/internal/metamodel"
-	"github.com/mddsm/mddsm/internal/mwmeta"
 	"github.com/mddsm/mddsm/internal/obs"
-	"github.com/mddsm/mddsm/internal/policy"
 	"github.com/mddsm/mddsm/internal/registry"
 	"github.com/mddsm/mddsm/internal/script"
 	"github.com/mddsm/mddsm/internal/simtime"
@@ -109,10 +104,10 @@ type Platform struct {
 	// built with, defaults applied).
 	cfg Config
 
-	// model is the validated middleware model the platform was built from,
+	// plan is the compiled middleware model the platform was built from,
 	// retained for checkpointing (models@runtime: the platform *is* this
 	// model). It is never modified, so snapshots share it.
-	model *metamodel.Model
+	plan *Plan
 
 	mPosted       *obs.Counter
 	mDropped      *obs.Counter
@@ -151,38 +146,38 @@ func (p *Platform) externalSink() func(broker.Event) {
 }
 
 // Build validates the middleware model against the middleware metamodel,
-// checks cross-layer consistency, and instantiates the platform. The
-// validation runs on a copy (it applies defaults), which the platform
-// keeps; the caller's model stays intact and may be edited afterwards.
+// compiles it and instantiates the platform: Compile, then Instantiate.
+// It compiles a copy, which the platform keeps, so the caller's model
+// stays intact and may be edited afterwards. Hosts that build many
+// platforms of one model compile it once and instantiate the plan instead
+// (core.Check and core.Build do).
 func Build(model *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
-	work := model.Clone()
-	if err := work.Validate(mwmeta.MM()); err != nil {
-		return nil, fmt.Errorf("runtime: middleware model does not conform: %w", err)
+	plan, err := Compile(model.Clone())
+	if err != nil {
+		return nil, err
 	}
-	return build(work, deps, cfg)
+	return Instantiate(plan, deps, cfg)
 }
 
-// build instantiates the platform from a middleware model in validated
-// form, which the platform keeps and never modifies. An invalid cfg fails
-// the build rather than being clamped.
-func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
+// Instantiate creates a platform from a compiled plan, which it shares
+// and never modifies: it binds the plan's broker bindings to deps'
+// adapters, its installed-script names to deps' scripts, its command
+// classes to deps' repository and its synthesis layer to deps' DSML and
+// LTS, and creates the layers. It walks and parses nothing. An invalid
+// cfg fails the build rather than being clamped.
+func Instantiate(plan *Plan, deps Deps, cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	p := &Platform{
+		Name:     plan.name,
+		Domain:   plan.domain,
 		tracer:   deps.Tracer,
 		metrics:  deps.Metrics,
 		injector: deps.Injector,
 		cfg:      cfg.withDefaults(),
+		plan:     plan,
 	}
-	platforms := work.ObjectsOf(mwmeta.ClassPlatform)
-	if len(platforms) != 1 {
-		return nil, fmt.Errorf("runtime: middleware model must declare exactly one Platform, got %d", len(platforms))
-	}
-	root := platforms[0]
-	p.Name = root.StringAttr("name")
-	p.Domain = root.StringAttr("domain")
-	p.model = work
 	p.mPosted = p.metrics.Counter(obs.MEventsPosted)
 	p.mDropped = p.metrics.Counter(obs.MEventsDropped)
 	p.mRejected = p.metrics.Counter(obs.MEventsRejected)
@@ -197,58 +192,30 @@ func build(work *metamodel.Model, deps Deps, cfg Config) (*Platform, error) {
 	p.hDeliver = p.metrics.Histogram(obs.HPumpDeliver)
 	p.dlq = newDLQ(p.cfg.dlqCapacity())
 
-	var (
-		uiObj, synthObj, ctlObj, brkObj *metamodel.Object
-	)
-	for _, layer := range work.Resolve(root, "layers") {
-		switch layer.Class {
-		case mwmeta.ClassUILayer:
-			uiObj = layer
-		case mwmeta.ClassSynthesisLayer:
-			synthObj = layer
-		case mwmeta.ClassControllerLayer:
-			ctlObj = layer
-		case mwmeta.ClassBrokerLayer:
-			brkObj = layer
-		default:
-			return nil, fmt.Errorf("runtime: unknown layer class %q", layer.Class)
-		}
-	}
-
-	// Consistency: layers must form a bottom-anchored stack.
-	if ctlObj != nil && brkObj == nil {
-		return nil, fmt.Errorf("runtime: a ControllerLayer requires a BrokerLayer")
-	}
-	if synthObj != nil && ctlObj == nil {
-		return nil, fmt.Errorf("runtime: a SynthesisLayer requires a ControllerLayer")
-	}
-	if uiObj != nil && synthObj == nil {
-		return nil, fmt.Errorf("runtime: a UILayer requires a SynthesisLayer")
-	}
-	if brkObj == nil {
-		return nil, fmt.Errorf("runtime: middleware model declares no BrokerLayer")
-	}
-
-	if err := p.buildBroker(work, brkObj, deps); err != nil {
+	if err := p.buildBroker(&plan.broker, deps); err != nil {
 		return nil, err
 	}
-	if ctlObj != nil {
-		if err := p.buildController(work, ctlObj, deps); err != nil {
+	if plan.controller != nil {
+		if err := p.buildController(plan.controller, deps); err != nil {
 			return nil, err
 		}
 	}
-	if synthObj != nil {
-		if err := p.buildSynthesis(synthObj, deps); err != nil {
+	if plan.synthesis != nil {
+		if err := p.buildSynthesis(plan.synthesis, deps); err != nil {
 			return nil, err
 		}
 	}
-	if uiObj != nil {
-		if err := p.buildUI(uiObj, deps); err != nil {
+	if plan.ui != nil {
+		if err := p.buildUI(plan.ui, deps); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
+
+// Plan returns the compiled middleware model the platform runs, which it
+// shares with every platform instantiated from the same plan.
+func (p *Platform) Plan() *Plan { return p.plan }
 
 // routeBrokerEvent forwards Broker events to the Controller, or to the
 // external sink when the platform has none. The Controller's failure is
@@ -279,136 +246,86 @@ func (p *Platform) routeControllerEvent(ev broker.Event) error {
 	return err
 }
 
-func (p *Platform) buildBroker(model *metamodel.Model, obj *metamodel.Object, deps Deps) error {
-	cfg := broker.Config{
-		Name:       obj.StringAttr("name"),
-		Tracer:     p.tracer,
-		Metrics:    p.metrics,
-		Injector:   deps.Injector,
-		Resilience: deps.Resilience,
-	}
+func (p *Platform) buildBroker(bp *brokerPlan, deps Deps) error {
 	rm := broker.NewResourceManager()
-
-	for _, bind := range model.Resolve(obj, "bindings") {
-		name := bind.StringAttr("adapter")
-		adapter, ok := deps.Adapters[name]
+	for _, bind := range bp.bindings {
+		adapter, ok := deps.Adapters[bind.adapter]
 		if !ok {
-			return fmt.Errorf("runtime: broker binding %s: unknown adapter %q", bind.ID, name)
+			return fmt.Errorf("runtime: broker binding %s: unknown adapter %q", bind.id, bind.adapter)
 		}
-		rm.Register(bind.StringAttr("op"), adapter)
+		rm.Register(bind.op, adapter)
 	}
-
-	for _, actObj := range model.Resolve(obj, "actions") {
-		a, err := buildAction(model, actObj)
-		if err != nil {
-			return err
-		}
-		cfg.Actions = append(cfg.Actions, &broker.Action{
-			Name: a.name, Ops: a.ops, Guard: a.guard, Steps: a.steps,
-			ForwardArgs: a.forwardArgs,
-		})
-	}
-	for _, evObj := range model.Resolve(obj, "eventActions") {
-		ea, err := buildEventAction(model, evObj, deps, false)
-		if err != nil {
-			return err
-		}
-		cfg.EventActions = append(cfg.EventActions, &broker.EventAction{
-			Name: ea.name, Event: ea.event, Guard: ea.guard,
-			Steps: ea.steps, Forward: ea.forward,
-		})
-	}
-	for _, symObj := range model.Resolve(obj, "symptoms") {
-		cond, err := expr.Parse(symObj.StringAttr("condition"))
-		if err != nil {
-			return fmt.Errorf("runtime: symptom %s: %w", symObj.ID, err)
-		}
-		cfg.Symptoms = append(cfg.Symptoms, broker.Symptom{
-			Name: symObj.StringAttr("name"), Condition: cond,
-		})
-	}
-	for _, planObj := range model.Resolve(obj, "changePlans") {
-		steps, err := buildSteps(model, planObj)
-		if err != nil {
-			return fmt.Errorf("runtime: change plan %s: %w", planObj.ID, err)
-		}
-		cfg.ChangePlans = append(cfg.ChangePlans, broker.ChangePlan{
-			Symptom: planObj.StringAttr("symptom"), Steps: steps,
-		})
-	}
-
-	p.Broker = broker.New(cfg, rm, p.routeBrokerEvent)
+	p.Broker = broker.New(broker.Config{
+		Name:         bp.name,
+		Actions:      bp.actions,
+		EventActions: bp.eventActions,
+		Symptoms:     bp.symptoms,
+		ChangePlans:  bp.changePlans,
+		Tracer:       p.tracer,
+		Metrics:      p.metrics,
+		Injector:     deps.Injector,
+		Resilience:   deps.Resilience,
+	}, rm, p.routeBrokerEvent)
 	return nil
 }
 
-func (p *Platform) buildController(model *metamodel.Model, obj *metamodel.Object, deps Deps) error {
-	cfg := controller.Config{
-		Name:       obj.StringAttr("name"),
-		Repository: deps.Repository,
+func (p *Platform) buildController(cp *controllerPlan, deps Deps) error {
+	events := cp.eventActions
+	if len(cp.scripts) > 0 {
+		// Installed scripts are the deps', so only this platform's copy
+		// of the event actions that run one carries them.
+		events = append([]*controller.EventAction(nil), events...)
+		for _, ref := range cp.scripts {
+			s, ok := deps.Scripts[ref.name]
+			if !ok {
+				return fmt.Errorf("runtime: event action %s: unknown installed script %q", ref.id, ref.name)
+			}
+			ea := *events[ref.at]
+			ea.Script = s
+			events[ref.at] = &ea
+		}
+	}
+	classes := make([]controller.CommandClass, 0, len(cp.classes))
+	for _, cl := range cp.classes {
+		if deps.Repository == nil {
+			return fmt.Errorf("runtime: command class %s: goal DSC %q declared but no procedure repository in DSK", cl.id, cl.goal)
+		}
+		if deps.Repository.Taxonomy().Get(cl.goal) == nil {
+			return fmt.Errorf("runtime: command class %s: goal DSC %q not in taxonomy", cl.id, cl.goal)
+		}
+		classes = append(classes, controller.CommandClass{Op: cl.op, GoalDSC: cl.goal})
+	}
+	p.Controller = controller.New(controller.Config{
+		Name:         cp.name,
+		Actions:      cp.actions,
+		EventActions: events,
+		Classes:      classes,
+		Policies:     cp.policies,
+		Repository:   deps.Repository,
 		Generator: intent.Options{
-			MaxDepth:     int(obj.IntAttr("maxDepth")),
-			DisableCache: !obj.BoolAttr("cacheEnabled"),
+			MaxDepth:     cp.maxDepth,
+			DisableCache: !cp.cacheEnabled,
 		},
-		Machine:  eu.Limits{MaxDepth: int(obj.IntAttr("maxDepth"))},
+		Machine:  eu.Limits{MaxDepth: cp.maxDepth},
 		Clock:    deps.Clock,
 		Tracer:   p.tracer,
 		Metrics:  p.metrics,
 		Injector: deps.Injector,
-	}
-	for _, actObj := range model.Resolve(obj, "actions") {
-		a, err := buildAction(model, actObj)
-		if err != nil {
-			return err
-		}
-		cfg.Actions = append(cfg.Actions, &controller.Action{
-			Name: a.name, Ops: a.ops, Guard: a.guard, Steps: a.steps,
-			ForwardArgs: a.forwardArgs,
-		})
-	}
-	for _, evObj := range model.Resolve(obj, "eventActions") {
-		ea, err := buildEventAction(model, evObj, deps, true)
-		if err != nil {
-			return err
-		}
-		cfg.EventActions = append(cfg.EventActions, &controller.EventAction{
-			Name: ea.name, Event: ea.event, Guard: ea.guard,
-			Steps: ea.steps, Script: ea.script, Forward: ea.forward,
-		})
-	}
-	for _, clObj := range model.Resolve(obj, "classes") {
-		goal := clObj.StringAttr("goalDsc")
-		if deps.Repository == nil {
-			return fmt.Errorf("runtime: command class %s: goal DSC %q declared but no procedure repository in DSK", clObj.ID, goal)
-		}
-		if deps.Repository.Taxonomy().Get(goal) == nil {
-			return fmt.Errorf("runtime: command class %s: goal DSC %q not in taxonomy", clObj.ID, goal)
-		}
-		cfg.Classes = append(cfg.Classes, controller.CommandClass{
-			Op: clObj.StringAttr("op"), GoalDSC: goal,
-		})
-	}
-	pols, err := buildPolicies(model, obj)
-	if err != nil {
-		return err
-	}
-	cfg.Policies = pols
-
-	p.Controller = controller.New(cfg, p.Broker, p.routeControllerEvent)
+	}, p.Broker, p.routeControllerEvent)
 	return nil
 }
 
-func (p *Platform) buildSynthesis(obj *metamodel.Object, deps Deps) error {
+func (p *Platform) buildSynthesis(sp *synthesisPlan, deps Deps) error {
 	if deps.DSML == nil {
-		return fmt.Errorf("runtime: synthesis layer %s: no DSML in DSK", obj.ID)
+		return fmt.Errorf("runtime: synthesis layer %s: no DSML in DSK", sp.id)
 	}
-	ltsName := obj.StringAttr("ltsName")
-	def, ok := deps.LTSes[ltsName]
+	def, ok := deps.LTSes[sp.lts]
 	if !ok {
-		return fmt.Errorf("runtime: synthesis layer %s: unknown LTS %q", obj.ID, ltsName)
+		return fmt.Errorf("runtime: synthesis layer %s: unknown LTS %q", sp.id, sp.lts)
 	}
 	s, err := synthesis.New(
 		synthesis.Config{
-			Name: obj.StringAttr("name"), DSML: deps.DSML, LTS: def,
+			Name: sp.name, DSML: deps.DSML, LTS: def,
 			Tracer: p.tracer, Metrics: p.metrics,
 			Delta: p.cfg.DeltaValidation,
 		},
@@ -426,142 +343,14 @@ func (p *Platform) buildSynthesis(obj *metamodel.Object, deps Deps) error {
 	return nil
 }
 
-func (p *Platform) buildUI(obj *metamodel.Object, deps Deps) error {
-	u, err := ui.New(obj.StringAttr("name"), deps.DSML, p.Synthesis.Submit,
+func (p *Platform) buildUI(lp *layerPlan, deps Deps) error {
+	u, err := ui.New(lp.name, deps.DSML, p.Synthesis.Submit,
 		ui.WithObs(p.tracer, p.metrics))
 	if err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	p.UI = u
 	return nil
-}
-
-// actionParts is the factory's intermediate action representation.
-type actionParts struct {
-	name        string
-	ops         []string
-	guard       expr.Node
-	steps       []script.Template
-	forwardArgs bool
-}
-
-type eventActionParts struct {
-	name    string
-	event   string
-	guard   expr.Node
-	steps   []script.Template
-	script  *script.Script
-	forward bool
-}
-
-func buildAction(model *metamodel.Model, obj *metamodel.Object) (actionParts, error) {
-	a := actionParts{name: obj.StringAttr("name"), forwardArgs: obj.BoolAttr("forwardArgs")}
-	a.ops = splitOps(obj.StringAttr("ops"))
-	if g := obj.StringAttr("guard"); g != "" {
-		node, err := expr.Parse(g)
-		if err != nil {
-			return a, fmt.Errorf("runtime: action %s: guard: %w", obj.ID, err)
-		}
-		a.guard = node
-	}
-	steps, err := buildSteps(model, obj)
-	if err != nil {
-		return a, fmt.Errorf("runtime: action %s: %w", obj.ID, err)
-	}
-	a.steps = steps
-	return a, nil
-}
-
-func buildEventAction(model *metamodel.Model, obj *metamodel.Object, deps Deps, allowScript bool) (eventActionParts, error) {
-	ea := eventActionParts{
-		name:    obj.StringAttr("name"),
-		event:   obj.StringAttr("event"),
-		forward: obj.BoolAttr("forward"),
-	}
-	if g := obj.StringAttr("guard"); g != "" {
-		node, err := expr.Parse(g)
-		if err != nil {
-			return ea, fmt.Errorf("runtime: event action %s: guard: %w", obj.ID, err)
-		}
-		ea.guard = node
-	}
-	steps, err := buildSteps(model, obj)
-	if err != nil {
-		return ea, fmt.Errorf("runtime: event action %s: %w", obj.ID, err)
-	}
-	ea.steps = steps
-	if name := obj.StringAttr("scriptName"); name != "" {
-		if !allowScript {
-			return ea, fmt.Errorf("runtime: event action %s: installed scripts are a Controller-layer feature", obj.ID)
-		}
-		s, ok := deps.Scripts[name]
-		if !ok {
-			return ea, fmt.Errorf("runtime: event action %s: unknown installed script %q", obj.ID, name)
-		}
-		ea.script = s
-	}
-	return ea, nil
-}
-
-// buildSteps resolves a steps reference into templates ordered by the
-// Step.order attribute.
-func buildSteps(model *metamodel.Model, owner *metamodel.Object) ([]script.Template, error) {
-	stepObjs := model.Resolve(owner, "steps")
-	sort.SliceStable(stepObjs, func(i, j int) bool {
-		return stepObjs[i].IntAttr("order") < stepObjs[j].IntAttr("order")
-	})
-	var out []script.Template
-	for _, st := range stepObjs {
-		tpl := script.Template{
-			Op:     st.StringAttr("op"),
-			Target: st.StringAttr("target"),
-		}
-		args := model.Resolve(st, "args")
-		if len(args) > 0 {
-			tpl.Args = make(map[string]string, len(args))
-			for _, arg := range args {
-				tpl.Args[arg.StringAttr("key")] = arg.StringAttr("value")
-			}
-		}
-		out = append(out, tpl)
-	}
-	return out, nil
-}
-
-func buildPolicies(model *metamodel.Model, owner *metamodel.Object) ([]policy.Policy, error) {
-	var out []policy.Policy
-	for _, polObj := range model.Resolve(owner, "policies") {
-		cond, err := expr.Parse(polObj.StringAttr("condition"))
-		if err != nil {
-			return nil, fmt.Errorf("runtime: policy %s: %w", polObj.ID, err)
-		}
-		p := policy.Policy{
-			Name:      polObj.StringAttr("name"),
-			Priority:  int(polObj.IntAttr("priority")),
-			Condition: cond,
-		}
-		for _, effObj := range model.Resolve(polObj, "effects") {
-			p.Effects = append(p.Effects, policy.Effect{
-				Key:   effObj.StringAttr("key"),
-				Value: script.ParseScalar(effObj.StringAttr("value")),
-			})
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// splitOps splits a model's comma-separated ops attribute, trimming the
-// whitespace authors naturally write ("open, close") and dropping empty
-// segments — an untrimmed " close" would never match a dispatched op.
-func splitOps(ops string) []string {
-	var out []string
-	for _, seg := range strings.Split(ops, ",") {
-		if s := strings.TrimSpace(seg); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // SubmitModel submits an application model through the platform's top

@@ -6,10 +6,16 @@
 // dead letters — everything needed to regenerate an equivalent platform
 // after a crash. Capture takes that state as a Snapshot value; Checkpoint
 // is Capture plus Encode and Restore is DecodeSnapshot plus
-// RestoreSnapshot, the one reinstatement path. It rebuilds the platform
-// through the same factory path as Build (the snapshot's models are
-// re-validated, not trusted, but shared rather than copied) and then
-// reinstates the captured state on top.
+// RestoreSnapshot, the one reinstatement path.
+//
+// A Snapshot holds only checked models. Captured, it shares the
+// platform's compiled plan and committed application model, both checked
+// when they were built or committed. Decoded, its models are checked
+// where the bytes enter the process: DecodeSnapshot conforms the
+// middleware model to the middleware metamodel and compiles it, and
+// conforms the application model to the DSML. RestoreSnapshot then
+// instantiates the plan through the same factory path as Build, and
+// reinstates the captured state on top, walking and parsing nothing.
 //
 // The format is versioned JSON; DecodeSnapshot rejects snapshots whose
 // version it does not understand. JSON normalises all numbers to float64,
@@ -26,6 +32,7 @@ import (
 	"github.com/mddsm/mddsm/internal/controller"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/mwmeta"
+	"github.com/mddsm/mddsm/internal/obs"
 )
 
 // SnapshotVersion is the snapshot format version written by Checkpoint and
@@ -75,23 +82,26 @@ type deadLetterSnapshot struct {
 }
 
 // Snapshot is a decoded checkpoint: exactly the state Checkpoint
-// serialises, held as values. Its middleware and application models are
-// the platform's own validated and committed models — immutable and
-// shared, never copied, and shared again by every platform restored from
-// the Snapshot — and its maps are copies, so a Snapshot outlives the
-// platform it was captured from and may be restored any number of times.
-// Hosts that park a platform in process (serve's eviction) keep the
-// Snapshot and encode it only where bytes leave the process.
+// serialises, held as values. Its plan and application model are checked
+// — the platform's own compiled plan and committed model, or a decoded
+// snapshot's, checked by DecodeSnapshot — immutable and shared, never
+// copied, and shared again by every platform restored from the Snapshot.
+// Its maps are copies, so a Snapshot outlives the platform it was
+// captured from and may be restored any number of times. Hosts that park
+// a platform in process (serve's eviction) keep the Snapshot and encode
+// it only where bytes leave the process.
 type Snapshot struct {
 	name, domain string
-	middleware   *metamodel.Model
+	plan         *Plan
 	synthesis    *synthState
 	controller   *controllerSnapshot
 	broker       *brokerSnapshot
 	deadLetters  []deadLetterSnapshot
 }
 
-// synthState is the Synthesis layer's part of a Snapshot.
+// synthState is the Synthesis layer's part of a Snapshot. app conforms to
+// the DSML of the platform it was captured from, or to the one it was
+// decoded against.
 type synthState struct {
 	app      *metamodel.Model
 	seq      int
@@ -103,9 +113,9 @@ type synthState struct {
 // delivery boundary it lands on; Quiesce captures an exact cut.
 func (p *Platform) Capture() *Snapshot {
 	s := &Snapshot{
-		name:       p.Name,
-		domain:     p.Domain,
-		middleware: p.model,
+		name:   p.Name,
+		domain: p.Domain,
+		plan:   p.plan,
 		broker: &brokerSnapshot{
 			State:        p.Broker.State().Snapshot(),
 			Context:      p.Broker.Context().Snapshot(),
@@ -139,7 +149,7 @@ func (p *Platform) Capture() *Snapshot {
 // Encode serialises the snapshot to the versioned JSON format. Context and
 // state values must be JSON-serialisable.
 func (s *Snapshot) Encode() ([]byte, error) {
-	mw, err := metamodel.MarshalModel(s.middleware)
+	mw, err := metamodel.MarshalModel(s.plan.model)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: checkpoint %s: middleware model: %w", s.name, err)
 	}
@@ -170,10 +180,15 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// DecodeSnapshot parses a Checkpoint snapshot, refusing malformed JSON, an
-// unknown version, a missing middleware model and models that do not
-// parse. Conformance is checked when the snapshot is restored.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
+// DecodeSnapshot parses a Checkpoint snapshot and checks its models,
+// refusing malformed JSON, an unknown version, a missing middleware model,
+// models that do not parse or do not conform, and layer state for a layer
+// the middleware model does not declare. The middleware model is
+// conformed to the middleware metamodel and compiled; the application
+// model, if any, is conformed to dsml, the DSML of the platforms the
+// snapshot will be restored into. That is one walk per model, and
+// restoring the returned Snapshot walks neither again.
+func DecodeSnapshot(data []byte, dsml *metamodel.Metamodel) (*Snapshot, error) {
 	var doc snapshotDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("runtime: restore: malformed snapshot: %w", err)
@@ -188,18 +203,37 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: middleware model: %w", err)
 	}
+	if mw, err = mw.Conform(mwmeta.MM()); err != nil {
+		return nil, fmt.Errorf("runtime: restore: middleware model does not conform: %w", err)
+	}
+	plan, err := compile(mw)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: restore: %w", err)
+	}
+	if doc.Controller != nil && plan.controller == nil {
+		return nil, fmt.Errorf("runtime: restore: snapshot has Controller state but the middleware model declares no ControllerLayer")
+	}
 	s := &Snapshot{
 		name:        doc.Name,
 		domain:      doc.Domain,
-		middleware:  mw,
+		plan:        plan,
 		controller:  doc.Controller,
 		broker:      doc.Broker,
 		deadLetters: doc.DeadLetter,
 	}
 	if doc.Synthesis != nil {
+		if plan.synthesis == nil {
+			return nil, fmt.Errorf("runtime: restore: snapshot has Synthesis state but the middleware model declares no SynthesisLayer")
+		}
+		if dsml == nil {
+			return nil, fmt.Errorf("runtime: restore: snapshot has an application model but no DSML to check it against")
+		}
 		app, err := metamodel.UnmarshalModel(doc.Synthesis.AppModel)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: restore: application model: %w", err)
+		}
+		if app, err = app.Conform(dsml); err != nil {
+			return nil, fmt.Errorf("runtime: restore: application model does not conform to %s: %w", dsml.Name, err)
 		}
 		s.synthesis = &synthState{app: app, seq: doc.Synthesis.Seq, ltsState: doc.Synthesis.LTSState}
 	}
@@ -254,32 +288,29 @@ func SnapshotsEquivalent(a, b []byte) (bool, error) {
 }
 
 // Restore rebuilds a platform from Checkpoint bytes: DecodeSnapshot,
-// then RestoreSnapshot.
+// checking the application model against deps.DSML, then
+// RestoreSnapshot.
 func Restore(data []byte, deps Deps, cfg Config) (*Platform, error) {
-	s, err := DecodeSnapshot(data)
+	s, err := DecodeSnapshot(data, deps.DSML)
 	if err != nil {
 		return nil, err
 	}
 	return RestoreSnapshot(s, deps, cfg)
 }
 
-// RestoreSnapshot rebuilds a platform from a Snapshot: the snapshot's
-// middleware model is re-validated and run through the same factory as
-// Build (bound to the given DSK deps), then the captured layer state is
-// reinstated — committed application model (re-validated too), LTS
-// position, contexts, resource state, open breakers and dead letters.
-// Both models are checked in place with metamodel's Conform, one walk
-// each, and never modified: a model already in validated form — as a
-// captured snapshot's are — is shared by the restored platform instead of
-// copied, and only a model that validation would change (a decoded one
-// whose numbers came back as JSON floats) is copied. The restored
-// platform is not started; call Start (and Monitor) as after Build.
+// RestoreSnapshot rebuilds a platform from a Snapshot: the snapshot's plan
+// is instantiated through the same factory as Build (bound to the given
+// DSK deps), then the captured layer state is reinstated — committed
+// application model, LTS position, contexts, resource state, open
+// breakers and dead letters. Both models were checked when the snapshot
+// was captured or decoded, so the restore walks and parses nothing, and
+// the restored platform shares the snapshot's plan and committed model
+// instead of copying them. deps.DSML must be the DSML the snapshot's
+// application model conforms to: the captured platform's, or the one it
+// was decoded against. The restored platform is not started; call Start
+// (and Monitor) as after Build.
 func RestoreSnapshot(s *Snapshot, deps Deps, cfg Config) (*Platform, error) {
-	mw, err := s.middleware.Conform(mwmeta.MM())
-	if err != nil {
-		return nil, fmt.Errorf("runtime: restore: middleware model does not conform: %w", err)
-	}
-	p, err := build(mw, deps, cfg)
+	p, err := Instantiate(s.plan, deps, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}
@@ -294,19 +325,15 @@ func RestoreSnapshot(s *Snapshot, deps Deps, cfg Config) (*Platform, error) {
 			p.Broker.TripBreaker(op)
 		}
 	}
+	// A captured snapshot's layers are its plan's; a decoded one's were
+	// checked against its plan by DecodeSnapshot.
 	if c := s.controller; c != nil {
-		if p.Controller == nil {
-			return nil, fmt.Errorf("runtime: restore: snapshot has Controller state but the middleware model declares no ControllerLayer")
-		}
 		for k, v := range c.Context {
 			p.Controller.Context().Set(k, v)
 		}
 		p.Controller.RestoreStats(c.Stats)
 	}
 	if syn := s.synthesis; syn != nil {
-		if p.Synthesis == nil {
-			return nil, fmt.Errorf("runtime: restore: snapshot has Synthesis state but the middleware model declares no SynthesisLayer")
-		}
 		if err := p.Synthesis.RestoreState(syn.app, syn.seq, syn.ltsState); err != nil {
 			return nil, fmt.Errorf("runtime: restore: %w", err)
 		}
@@ -320,9 +347,11 @@ func RestoreSnapshot(s *Snapshot, deps Deps, cfg Config) (*Platform, error) {
 			continue
 		}
 		// The restored platform's DLQ is smaller than the checkpointed
-		// backlog: the overflow is a terminal counted loss, like any
-		// delivery failure with no DLQ room.
-		p.mDeliverFail.Inc()
+		// backlog. The pump counted each of these events dead-lettered
+		// when it parked it, and a host restoring onto the same metrics
+		// keeps that ledger, so the overflow counts only in dlq.lost
+		// (registered on first use), as a lost replay does.
+		p.metrics.Counter(obs.MDLQLost).Inc()
 	}
 	p.gDLQDepth.Set(int64(p.dlq.size()))
 	return p, nil

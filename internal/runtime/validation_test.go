@@ -321,3 +321,131 @@ func TestDisabledCacheStillValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledPlanWalksOnce: a middleware model is checked and compiled
+// once. Every platform instantiated from the plan, and every restore of a
+// snapshot captured from one, shares the plan and walks no model; the
+// restored platform shares the captured committed model too.
+func TestCompiledPlanWalksOnce(t *testing.T) {
+	deps := Deps{
+		DSML:       toyDSML(t),
+		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
+		Adapters:   map[string]broker.Adapter{"main": &rec{}},
+		Repository: toyRepo(t),
+	}
+	mw := fullModel(t)
+	before := walks()
+	plan, err := Compile(mw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := walks() - before; n != 1 {
+		t.Fatalf("Compile: %d conformance walks, want 1", n)
+	}
+
+	before = walks()
+	var platforms []*Platform
+	for i := 0; i < 2; i++ {
+		p, err := Instantiate(plan, deps, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		platforms = append(platforms, p)
+	}
+	if n := walks() - before; n != 0 {
+		t.Errorf("two instantiations: %d conformance walks, want 0", n)
+	}
+	p := platforms[0]
+	if _, err := p.SubmitModel(toyApp()); err != nil {
+		t.Fatal(err)
+	}
+	committed := p.Synthesis.Committed()
+	snap := p.Quiesce()
+
+	before = walks()
+	restored, err := RestoreSnapshot(snap, deps, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := walks() - before; n != 0 {
+		t.Errorf("RestoreSnapshot: %d conformance walks, want 0", n)
+	}
+	for i, q := range append(platforms, restored) {
+		if q.Plan() != plan || q.Plan().Model() != plan.Model() {
+			t.Errorf("platform %d does not share the compiled plan", i)
+		}
+	}
+	if restored.Synthesis.Committed() != committed {
+		t.Error("RestoreSnapshot copied the captured committed model")
+	}
+}
+
+// TestDecodeRefusesNonConformingModels: checkpoint bytes are checked where
+// they enter the process. DecodeSnapshot itself refuses a snapshot whose
+// middleware or application model does not conform, and one with an
+// application model but no DSML to check it against, so Restore refuses
+// them before it builds anything.
+func TestDecodeRefusesNonConformingModels(t *testing.T) {
+	p, r := buildFull(t)
+	if _, err := p.SubmitModel(toyApp()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := Deps{
+		DSML:       toyDSML(t),
+		LTSes:      map[string]*lts.LTS{"sem": toyLTS()},
+		Adapters:   map[string]broker.Adapter{"main": r},
+		Repository: toyRepo(t),
+	}
+	if _, err := DecodeSnapshot(data, deps.DSML); err != nil {
+		t.Fatalf("conformant snapshot refused: %v", err)
+	}
+	tamper := func(edit func(doc *snapshotDoc)) []byte {
+		t.Helper()
+		var doc snapshotDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(&doc)
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	marshal := func(m *metamodel.Model) json.RawMessage {
+		t.Helper()
+		out, err := metamodel.MarshalModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	badMiddleware := fullModel(t)
+	badMiddleware.ObjectsOf(mwmeta.ClassPlatform)[0].SetAttr("bogus", "x")
+	badApp := toyApp()
+	badApp.Get("st1").UnsetAttr("media")
+	for _, c := range []struct {
+		name string
+		data []byte
+		dsml *metamodel.Metamodel
+	}{
+		{"middleware", tamper(func(doc *snapshotDoc) { doc.Middleware = marshal(badMiddleware) }), deps.DSML},
+		{"application", tamper(func(doc *snapshotDoc) { doc.Synthesis.AppModel = marshal(badApp) }), deps.DSML},
+		{"no DSML", data, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := DecodeSnapshot(c.data, c.dsml); err == nil {
+				t.Error("DecodeSnapshot accepted the snapshot")
+			}
+			d := deps
+			d.DSML = c.dsml
+			if _, err := Restore(c.data, d, Config{}); err == nil {
+				t.Error("Restore accepted the snapshot")
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"github.com/mddsm/mddsm/internal/domains"
 	"github.com/mddsm/mddsm/internal/obs"
 	"github.com/mddsm/mddsm/internal/runtime"
 )
@@ -62,11 +63,12 @@ func (s *Server) Export(name string) (ExportedTenant, error) {
 }
 
 // Adopt installs an exported tenant on this server. The checkpoint is
-// decoded and parked, not restored — a malformed one is refused here, and
-// the first frame naming the tenant rehydrates it through
-// domains.RestoreSnapshot, so adoption is cheap and mass failover does not
-// stampede the target. The carried ledger is recorded and folded into the
-// tenant's Accounting from now on.
+// decoded and checked against its bundle's definition (domains.Decode),
+// then parked, not restored: a malformed or non-conforming one, or one of
+// an unknown bundle, is refused here, and the first frame naming the
+// tenant rehydrates it through domains.RestoreSnapshot, which walks no
+// model, so mass failover does not stampede the target. The carried
+// ledger is recorded and folded into the tenant's Accounting from now on.
 func (s *Server) Adopt(name string, exp ExportedTenant) error {
 	if name == "" {
 		return fmt.Errorf("serve: tenant name must not be empty")
@@ -74,7 +76,7 @@ func (s *Server) Adopt(name string, exp ExportedTenant) error {
 	if exp.Bundle == "" {
 		return fmt.Errorf("serve: adopt %s: bundle must not be empty", name)
 	}
-	snap, err := runtime.DecodeSnapshot(exp.Snapshot)
+	snap, err := domains.Decode(exp.Bundle, exp.Snapshot)
 	if err != nil {
 		return fmt.Errorf("serve: adopt %s: %w", name, err)
 	}

@@ -222,6 +222,70 @@ func TestAdoptRefusesMalformedSnapshot(t *testing.T) {
 	}
 }
 
+// TestAdoptRefusesNonConformingCheckpoint: Adopt checks a well-formed
+// checkpoint against its bundle's definition when the tenant is adopted,
+// not when it is first touched. A checkpoint whose middleware or
+// application model does not conform, or one of an unknown bundle, is
+// refused and leaves no tenant behind; the untampered checkpoint is
+// adopted and rehydrates.
+func TestAdoptRefusesNonConformingCheckpoint(t *testing.T) {
+	src := NewServer(Config{})
+	defer src.Close()
+	if err := src.Create("acme", "cml"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SubmitModel("acme", sessionModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := src.Export("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tamper sets an attribute no class declares on the first object of
+	// the checkpoint's model under key.
+	tamper := func(key string) ExportedTenant {
+		t.Helper()
+		var doc map[string]any
+		if err := json.Unmarshal(exp.Snapshot, &doc); err != nil {
+			t.Fatal(err)
+		}
+		model := doc[key]
+		if key == "appModel" {
+			model = doc["synthesis"].(map[string]any)["appModel"]
+		}
+		first := model.(map[string]any)["objects"].([]any)[0].(map[string]any)
+		first["attrs"].(map[string]any)["bogus"] = "x"
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ExportedTenant{Bundle: exp.Bundle, Snapshot: data, Ledger: exp.Ledger}
+	}
+	unknown := exp
+	unknown.Bundle = "nope"
+
+	s := NewServer(Config{})
+	defer s.Close()
+	for name, bad := range map[string]ExportedTenant{
+		"middleware":     tamper("middleware"),
+		"application":    tamper("appModel"),
+		"unknown-bundle": unknown,
+	} {
+		if err := s.Adopt(name, bad); err == nil {
+			t.Errorf("%s: Adopt accepted the checkpoint", name)
+		}
+	}
+	if got := s.Tenants(); len(got) != 0 || len(s.parked) != 0 || len(s.carried) != 0 {
+		t.Fatalf("refused adoptions left tenants %v, %d parked, %d ledgers", got, len(s.parked), len(s.carried))
+	}
+	if err := s.Adopt("acme", exp); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Model("acme"); err != nil {
+		t.Fatalf("adopted tenant does not rehydrate: %v", err)
+	}
+}
+
 // TestParkedSnapshotSharedAcrossGoroutines: a parked value is read outside
 // the server lock — Snapshot encodes it while rehydration restores from it
 // and eviction replaces it — and a rehydrated tenant shares its models

@@ -9,12 +9,15 @@ import (
 	"testing"
 
 	"github.com/mddsm/mddsm/internal/broker"
+	"github.com/mddsm/mddsm/internal/domains"
+	"github.com/mddsm/mddsm/internal/domains/cml"
 	"github.com/mddsm/mddsm/internal/domains/csense"
 	"github.com/mddsm/mddsm/internal/domains/mgrid"
 	"github.com/mddsm/mddsm/internal/domains/smartspace"
 	"github.com/mddsm/mddsm/internal/domgen"
 	"github.com/mddsm/mddsm/internal/metamodel"
 	"github.com/mddsm/mddsm/internal/obs"
+	"github.com/mddsm/mddsm/internal/runtime"
 )
 
 // sharedCase is one bundle of TestFiftyTenantsPerBundleShareDefinitions:
@@ -100,7 +103,7 @@ func sharedCases(t *testing.T) []sharedCase {
 // submit models to their own tenants concurrently, so tenants are evicted
 // and rehydrated over their bundle's shared, checked definition. Every
 // tenant's ledger stays exact, and every resident platform of a bundle
-// holds the same definition.
+// holds the same definition and compiled plan.
 func TestFiftyTenantsPerBundleShareDefinitions(t *testing.T) {
 	const tenants, workers, ops = 50, 8, 100
 	for _, c := range sharedCases(t) {
@@ -156,6 +159,9 @@ func TestFiftyTenantsPerBundleShareDefinitions(t *testing.T) {
 				if p.Synthesis.LTS() != q.Synthesis.LTS() || p.Controller.Repository() != q.Controller.Repository() {
 					t.Errorf("tenants %s and %s hold different definitions", tn.name, first.name)
 				}
+				if p.Plan() != q.Plan() || p.Plan().Model() != q.Plan().Model() {
+					t.Errorf("tenants %s and %s run different plans", tn.name, first.name)
+				}
 			}
 			s.mu.Unlock()
 			if n := s.Obs().MetricsOf().CounterValue(obs.MServeRehydrations); n == 0 {
@@ -176,6 +182,91 @@ func TestFiftyTenantsPerBundleShareDefinitions(t *testing.T) {
 			}
 			if posted == 0 {
 				t.Error("no event was accepted")
+			}
+		})
+	}
+}
+
+// TestTenantsShareBundlePlan: every platform of a bundle runs the bundle's
+// one compiled plan and middleware model. Two tenants, one of them parked
+// and rehydrated, and the domain package's own New (where it has one)
+// hold the same plan and model pointers, while each is its own platform.
+func TestTenantsShareBundlePlan(t *testing.T) {
+	newVM := map[string]func() (*runtime.Platform, error){
+		"cml": func() (*runtime.Platform, error) {
+			vm, err := cml.New(domains.Config{})
+			if err != nil {
+				return nil, err
+			}
+			return vm.Platform, nil
+		},
+		"mgrid": func() (*runtime.Platform, error) {
+			vm, err := mgrid.New(domains.Config{})
+			if err != nil {
+				return nil, err
+			}
+			return vm.Platform, nil
+		},
+		"smartspace": func() (*runtime.Platform, error) {
+			vm, err := smartspace.New(domains.Config{})
+			if err != nil {
+				return nil, err
+			}
+			return vm.Platform, nil
+		},
+		"csense": func() (*runtime.Platform, error) {
+			vm, err := csense.New(1)
+			if err != nil {
+				return nil, err
+			}
+			return vm.Provider, nil
+		},
+	}
+	for _, c := range sharedCases(t) {
+		t.Run(c.bundle, func(t *testing.T) {
+			s := NewServer(Config{})
+			defer s.Close()
+			platform := func(name string) *runtime.Platform {
+				t.Helper()
+				tn, err := s.resident(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tn.inst.Platform
+			}
+			for _, name := range []string{"a", "b"} {
+				if err := s.Create(name, c.bundle); err != nil {
+					t.Fatal(err)
+				}
+			}
+			parked := platform("a")
+			if _, err := s.SubmitModel("a", c.model(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Evict("a"); err != nil {
+				t.Fatal(err)
+			}
+			rehydrated := platform("a")
+			if rehydrated == parked {
+				t.Fatal("tenant a was not rehydrated")
+			}
+			platforms := []*runtime.Platform{parked, platform("b"), rehydrated}
+			if build, ok := newVM[c.bundle]; ok {
+				p, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Stop()
+				platforms = append(platforms, p)
+			}
+			plan := parked.Plan()
+			for i, p := range platforms[1:] {
+				if p.Plan() != plan {
+					t.Errorf("platform %d runs a different plan", i+1)
+				}
+				if p.Plan().Model() != plan.Model() {
+					t.Errorf("platform %d runs a different middleware model", i+1)
+				}
 			}
 		})
 	}

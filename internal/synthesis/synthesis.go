@@ -207,39 +207,34 @@ func (s *Synthesis) Seq() int {
 // runtime model, the submission sequence number and the LTS position —
 // without dispatching any scripts: the resources a restored platform
 // attaches to are assumed to already realise the model (or to be
-// re-provisioned out of band). The model must conform to the DSML and the
-// LTS state must be one the instance's definition declares.
+// re-provisioned out of band). The LTS state must be one the instance's
+// definition declares.
 //
-// The model is checked with metamodel's Conform, one walk that never
-// modifies it: a model already in validated form (a captured snapshot's
-// committed model) becomes the committed model itself, shared with the
-// caller, and only one that validation would change is copied. The
-// caller must not modify m afterwards. A restore re-bases the layer
-// rather than committing a change: the observer receives the restored
-// model with no change list, and hosts that stream changes diff it
-// against what their watchers last saw (serve's ModelObserver.Attach).
+// m must already conform to the layer's DSML, in validated form: a
+// committed model, or one checked where it entered the process
+// (runtime.DecodeSnapshot conforms a decoded snapshot's). RestoreState
+// does not walk it again. m becomes the committed model itself, shared
+// with the caller, who must not modify it afterwards. A restore re-bases
+// the layer rather than committing a change: the observer receives the
+// restored model with no change list, and hosts that stream changes diff
+// it against what their watchers last saw (serve's ModelObserver.Attach).
 func (s *Synthesis) RestoreState(m *metamodel.Model, seq int, ltsState string) error {
-	restored, err := m.Conform(s.dsml)
-	if err != nil {
-		return fmt.Errorf("synthesis %s: restored model does not conform to %s: %w",
-			s.name, s.dsml.Name, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.instance.Restore(ltsState); err != nil {
 		return fmt.Errorf("synthesis %s: restore: %w", s.name, err)
 	}
-	s.current = restored
+	s.current = m
 	if s.delta != nil {
 		// Incremental indexes are only valid relative to the model they were
 		// built over; a restore re-bases them from scratch.
-		s.delta = metamodel.NewDeltaValidator(s.deltaCM, restored)
+		s.delta = metamodel.NewDeltaValidator(s.deltaCM, m)
 	}
 	if seq > s.seq {
 		s.seq = seq
 	}
 	if s.observe != nil {
-		s.observe(restored, nil)
+		s.observe(m, nil)
 	}
 	return nil
 }
